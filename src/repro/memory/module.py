@@ -106,11 +106,10 @@ class MemoryModule(ABC):
     #: :meth:`access` that the simulation kernel may batch over. A
     #: subclass overriding :meth:`access` without keeping
     #: :meth:`access_many` in lockstep MUST set this back to ``False``;
-    #: the kernel then treats the module as tick-dependent and advances
-    #: it access by access at synchronization points (optionally via a
-    #: tuple-returning ``access_raw``, see
-    #: :meth:`repro.memory.dma.SelfIndirectDma.access_raw`), batching
-    #: only the modules around it.
+    #: the kernel then treats the module as tick-dependent and replays
+    #: it through :meth:`record_replay` when :attr:`supports_replay`
+    #: allows, or else runs the whole simulation through the reference
+    #: loop's per-access :meth:`access` calls.
     supports_batch: bool = False
 
     #: Whether :meth:`record_replay` is a faithful symbolic recording
@@ -121,8 +120,8 @@ class MemoryModule(ABC):
     #: depends on the ticks, and in the affine form
     #: :class:`ReplayTrace` captures. A subclass changing ``access``
     #: without keeping ``record_replay`` in lockstep MUST set this back
-    #: to ``False``; the batch evaluator then falls back to independent
-    #: per-candidate runs.
+    #: to ``False``; simulations using the module then fall back to the
+    #: reference loop.
     supports_replay: bool = False
 
     #: Whether the module sits on-chip (drives wire models and the

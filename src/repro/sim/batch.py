@@ -52,10 +52,11 @@ from repro.errors import SimulationError
 from repro.sim.kernels import (
     _WRITE_CODE,
     _Columns,
-    _build_columns,
     _build_groups,
     _evaluate_columns,
     _fold_measured,
+    _fold_span,
+    _offpath_bytes,
     _openrow_core,
     reference_requested,
 )
@@ -96,35 +97,56 @@ _GROUP_PLAN_LIMIT = 32
 #: Trace plans retained process-wide (distinct trace fingerprints).
 _TRACE_PLAN_LIMIT = 4
 
+#: Shortest off-window span the replay walk folds into one vector sum;
+#: shorter runs are walked (identical results, lower constant cost).
+MIN_BATCH_SPAN = 64
+
+
+def _batch_spans(fast: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal runs of ``fast`` at least :data:`MIN_BATCH_SPAN` long."""
+    edges = np.flatnonzero(fast[1:] != fast[:-1]) + 1
+    bounds = [0, *edges.tolist(), len(fast)]
+    return [
+        (bounds[k], bounds[k + 1])
+        for k in range(len(bounds) - 1)
+        if fast[bounds[k]] and bounds[k + 1] - bounds[k] >= MIN_BATCH_SPAN
+    ]
+
 
 class TracePlan:
     """Reusable per-trace planning state shared across candidates.
 
     Holds the columns every candidate evaluation needs but no candidate
-    changes: tick/write lists for the walks, sampling masks per
-    distinct :meth:`~repro.sim.sampling.SamplingConfig.key`, and the
-    :class:`GroupPlan` cache keyed by memory-architecture signature.
+    changes: whole-run tick/write lists for the walks, sampling masks
+    per distinct :meth:`~repro.sim.sampling.SamplingConfig.key`, and
+    the :class:`GroupPlan` cache keyed by memory-architecture signature.
     """
 
     def __init__(self, trace: "Trace") -> None:
         self.trace = trace
-        self.fingerprint = trace.fingerprint()
-        self.ticks_l = trace.ticks.tolist()
         self.write_mask = trace.kinds == _WRITE_CODE
-        self._write_l: list | None = None
+        self._lists: dict[str, list] = {}
         self._sampling: dict = {}
         self._groups: OrderedDict = OrderedDict()
 
+    def tick_list(self) -> list:
+        """Tick column as a Python list (built on first use)."""
+        ticks = self._lists.get("ticks")
+        if ticks is None:
+            ticks = self._lists["ticks"] = self.trace.ticks.tolist()
+        return ticks
+
     def write_list(self) -> list:
         """Posted-write column as a Python list (built on first use)."""
-        if self._write_l is None:
-            self._write_l = self.write_mask.tolist()
-        return self._write_l
+        writes = self._lists.get("writes")
+        if writes is None:
+            writes = self._lists["writes"] = self.write_mask.tolist()
+        return writes
 
     def sampling_columns(
         self, sampling: "SamplingConfig | None"
-    ) -> tuple[list | None, np.ndarray | None, int]:
-        """``(on_list, counted_mask, measured)`` for one schedule.
+    ) -> tuple[np.ndarray | None, np.ndarray | None, int]:
+        """``(on_mask, counted_mask, measured)`` for one schedule.
 
         ``(None, None, n)`` for unsampled runs; cached per
         :meth:`SamplingConfig.key` so candidates sharing a schedule
@@ -138,11 +160,7 @@ class TracePlan:
                 columns = (None, None, n)
             else:
                 on_mask, counted = sampling.masks(n)
-                columns = (
-                    on_mask.tolist(),
-                    counted,
-                    int(np.count_nonzero(counted)),
-                )
+                columns = (on_mask, counted, int(np.count_nonzero(counted)))
             self._sampling[key] = columns
         return columns
 
@@ -162,7 +180,9 @@ class TracePlan:
                 obs.incr("sim.batch.groupplan_hits")
             return plan
         with obs.span("sim.batch.build_group_plan"):
-            plan = GroupPlan(self, memory)
+            lead = Simulator(self.trace, memory)  # validates once per group
+            lead._prime_modules()
+            plan = GroupPlan(self, lead)
         self._groups[signature] = plan
         while len(self._groups) > _GROUP_PLAN_LIMIT:
             self._groups.popitem(last=False)
@@ -172,24 +192,24 @@ class TracePlan:
 class GroupPlan:
     """Shared module outcomes for one (trace, memory signature) group.
 
-    Built by a connectivity-free *lead* :class:`Simulator` over the
-    group's first candidate: module behaviour (state evolution, hit and
+    Built from a primed *lead* :class:`Simulator` over the group's
+    memory architecture: module behaviour (state evolution, hit and
     byte columns) is memory-determined, and architectures with equal
     signatures have identical module names, routes, and channel sets,
     so the recording transfers to every member verbatim. Only the
     stall *latency* of a replay module depends on the candidate — kept
-    symbolic in the recording and re-priced per member.
+    symbolic in the recording and re-priced per member. Building
+    advances the lead's batch modules and DRAM but never its channel
+    counters, so the lead may itself be the group's only member.
     """
 
-    def __init__(self, plan: TracePlan, memory: "MemoryArchitecture") -> None:
+    def __init__(self, plan: TracePlan, lead: Simulator) -> None:
         trace = plan.trace
-        lead = Simulator(trace, memory)  # validates once per group
-        lead._prime_modules()
-        groups, struct_group, _ = _build_groups(lead)
+        memory = lead.memory
+        groups, struct_group = _build_groups(lead)
         gid_col = struct_group[trace.struct_ids]
         sizes64 = trace.sizes.astype(np.int64)
 
-        self.signature = memory.signature()
         self.targets = [group.target for group in groups]
         #: gid -> (latency, refill, offpath, hits) outcome columns.
         self.outcomes: dict[int, tuple] = {}
@@ -215,18 +235,10 @@ class GroupPlan:
                 outcome = module.access_many(
                     trace.addresses[positions], g_sizes, g_kinds
                 )
-                writeback = outcome.writeback_bytes
-                prefetch = outcome.prefetch_bytes
-                if writeback is None:
-                    off = prefetch
-                elif prefetch is None:
-                    off = writeback
-                else:
-                    off = writeback + prefetch
                 self.outcomes[gid] = (
                     outcome.latency,
                     outcome.refill_bytes,
-                    off,
+                    _offpath_bytes(outcome),
                     int(np.count_nonzero(outcome.hit)),
                 )
             elif getattr(type(module), "supports_replay", False):
@@ -249,25 +261,41 @@ class GroupPlan:
         if not replay_ok:
             return
 
-        # Shared whole-run columns: build them through the kernel's own
-        # column pass on the lead (counter folds go to a throwaway
-        # state), then keep every candidate-independent column by
-        # reference — members read but never mutate them.
-        throwaway = _RunState(lead)
-        cols, _ = _build_columns(
-            lead, throwaway, groups, struct_group, shared=self
-        )
-        core, merged = _openrow_core(lead, cols)
+        # Shared whole-run columns, kept by reference: members read but
+        # never mutate them.
+        n = len(trace)
+        uncached = np.zeros(n, dtype=bool)
+        mlat = np.zeros(n, dtype=np.int64)
+        refill = np.zeros(n, dtype=np.int64)
+        offpath = np.zeros(n, dtype=np.int64)
+        replay_rows = np.zeros(n, dtype=bool)
+        for gid, positions in self.positions_of.items():
+            group = groups[gid]
+            if group.module is None:
+                uncached[positions] = True
+                continue
+            lat_col, refill_col, off, _ = self.outcomes[gid]
+            mlat[positions] = lat_col
+            if group.backing_state is not None:
+                if refill_col is not None:
+                    refill[positions] = refill_col
+                if off is not None:
+                    offpath[positions] = off
+            if gid in self.replay:
+                replay_rows[positions] = True
+        dram_mask = uncached | (refill > 0)
+        core, merged = _openrow_core(lead, dram_mask)
         self.core = core
         self.merged_dram = merged
-        self.cols_gid = cols.gid
-        self.cols_row_batchable = cols.row_batchable
-        self.cols_row_replay = cols.row_replay
-        self.cols_uncached = cols.uncached
-        self.cols_mlat = cols.mlat
-        self.cols_refill = cols.refill
-        self.cols_offpath = cols.offpath
-        self.cols_dram_mask = cols.dram_mask
+        self.cols_gid = gid_col
+        self.cols_uncached = uncached
+        self.cols_mlat = mlat
+        self.cols_refill = refill
+        self.cols_offpath = offpath
+        self.cols_dram_mask = dram_mask
+        #: Rows the replay walk must visit even off-window: a replay
+        #: module's later stalls read every one of its arrivals.
+        self.replay_rows = replay_rows
 
         # Per-gid fold amounts: everything _build_columns adds to the
         # run state and channel counters, minus the connectivity-priced
@@ -308,11 +336,7 @@ class GroupPlan:
             )
         self.fold = fold
 
-        # Flat per-row lists for the contention walk (plain list
-        # indexing beats any per-row tuple machinery in CPython; the
-        # rarely-read columns are only indexed on the rows needing
-        # them). Tick and write columns are shared from the trace plan.
-        n = len(trace)
+        # Walk inputs; walk() turns them into per-schedule row lists.
         stall_src = np.full(n, -1, dtype=np.int64)
         stall_alpha = np.zeros(n, dtype=np.int64)
         stall_beta = np.zeros(n, dtype=np.int64)
@@ -321,28 +345,99 @@ class GroupPlan:
             stall_src[positions] = recording.stall_src
             stall_alpha[positions] = recording.stall_alpha
             stall_beta[positions] = recording.stall_beta
-        self.ticks_l = plan.ticks_l
-        self.write_l = plan.write_list()
-        self.gid_l = cols.gid.tolist()
-        self.mlat_l = cols.mlat.tolist()
-        self.refill_l = (cols.refill > 0).tolist()
-        self.bg_l = (cols.offpath > 0).tolist()
-        self.core_l = core.tolist()
+        self.stall_cols = (stall_src, stall_alpha, stall_beta)
         # Per-access DRAM channel column (memory-determined, so shared
         # across the group's members like the other outcome columns).
         dram = memory.dram
-        if dram.channels == 1:
-            self.dch_l = [0] * n
-        else:
-            self.dch_l = dram.channel_column(trace.addresses).tolist()
-        self.rsrc_l = stall_src.tolist()
-        self.ralpha_l = stall_alpha.tolist()
-        self.rbeta_l = stall_beta.tolist()
+        self.dch = (
+            None if dram.channels == 1
+            else dram.channel_column(trace.addresses)
+        )
         self.has_replay = bool(self.replay)
         self.write_mask = plan.write_mask
         #: Candidate-independent energy terms, memoized by the kernel's
         #: :func:`~repro.sim.kernels._accumulate_energy` on first use.
         self.energy_statics: dict = {}
+        self._walks: dict = {}
+        # Build the lead schedule's row lists now, next to the columns:
+        # built later, between member passes, they walked measurably
+        # slower.
+        self.walk(plan, lead.sampling)
+
+    def walk(
+        self, plan: TracePlan, sampling: "SamplingConfig | None"
+    ) -> "_Walk":
+        """The rows a walk under ``sampling`` visits, built once per key."""
+        key = None if sampling is None else sampling.key()
+        walk = self._walks.get(key)
+        if walk is None:
+            walk = self._walks[key] = _Walk(plan, self, sampling)
+        return walk
+
+
+class _Walk:
+    """The rows one sampling schedule's walk visits, as shared lists.
+
+    Unsampled, every row. Sampled, the *folds* drop out: maximal
+    off-window spans of at least :data:`MIN_BATCH_SPAN` rows free of
+    replay rows touch no shared timeline and no replay arrival, so each
+    member sums their contention-free latencies instead
+    (:func:`~repro.sim.kernels._fold_span`). ``rows`` maps walk
+    positions to trace rows (``None`` when every row is walked), and
+    ``segments`` lists ``(walk_start, walk_stop, fold)`` in trace order,
+    ``fold`` being the ``(start, stop)`` trace span that follows the
+    walked rows, or ``None``. Plain lists, because list indexing beats
+    any per-row tuple machinery in CPython; members read but never
+    mutate them.
+    """
+
+    def __init__(
+        self,
+        plan: TracePlan,
+        gplan: GroupPlan,
+        sampling: "SamplingConfig | None",
+    ) -> None:
+        n = len(plan.trace)
+        if sampling is None:
+            self.rows = None
+            self.folds = []
+            self.segments = [(0, n, None)]
+            self.on_l = None
+            self.ticks_l = plan.tick_list()
+            self.write_l = plan.write_list()
+            rows = slice(None)
+        else:
+            on_mask, _, _ = plan.sampling_columns(sampling)
+            folds = _batch_spans(~(on_mask | gplan.replay_rows))
+            walked = np.ones(n, dtype=bool)
+            for start, stop in folds:
+                walked[start:stop] = False
+            rows = np.flatnonzero(walked)
+            starts = [start for start, _ in folds]
+            cuts = np.searchsorted(rows, starts).tolist()
+            self.rows = rows
+            self.folds = folds
+            self.segments = list(
+                zip([0, *cuts], [*cuts, len(rows)], [*folds, None])
+            )
+            self.on_l = on_mask[rows].tolist()
+            self.ticks_l = plan.trace.ticks[rows].tolist()
+            self.write_l = plan.write_mask[rows].tolist()
+        self.gid_l = gplan.cols_gid[rows].tolist()
+        self.refill_l = (gplan.cols_refill[rows] > 0).tolist()
+        self.bg_l = (gplan.cols_offpath[rows] > 0).tolist()
+        self.core_l = gplan.core[rows].tolist()
+        if gplan.dch is None:
+            self.dch_l = [0] * len(self.gid_l)
+        else:
+            self.dch_l = gplan.dch[rows].tolist()
+        if gplan.has_replay:
+            # Only the replay walk reads module latencies and stalls.
+            self.mlat_l = gplan.cols_mlat[rows].tolist()
+            stall_src, stall_alpha, stall_beta = gplan.stall_cols
+            self.rsrc_l = stall_src[rows].tolist()
+            self.ralpha_l = stall_alpha[rows].tolist()
+            self.rbeta_l = stall_beta[rows].tolist()
 
 
 # -- trace-plan registry ----------------------------------------------------
@@ -403,8 +498,20 @@ def evaluate_group(
     gplan = plan.group_plan(jobs[0].memory)
     if not gplan.replay_ok:
         return [_fallback_run(trace, job) for job in jobs], 0
+    results = []
     with obs.span("sim.batch.group"):
-        results = [_evaluate_member(plan, gplan, job) for job in jobs]
+        for job in jobs:
+            sim = Simulator(
+                trace,
+                job.memory,
+                job.connectivity,
+                job.sampling,
+                job.posted_writes,
+                validated=True,
+            )
+            state = _RunState(sim)
+            _evaluate_member(plan, gplan, sim, state)
+            results.append(sim._finalize(state))
     if obs.enabled():
         obs.incr("sim.batch.groups")
         obs.incr("sim.batch.module_column_group_size", len(jobs))
@@ -423,35 +530,51 @@ def _fallback_run(trace: "Trace", job: "_JobLike") -> SimulationResult:
     ).run()
 
 
+def run_replayed(sim: Simulator, state: "_RunState") -> bool:
+    """Evaluate ``sim`` as a one-member group into ``state``.
+
+    The fast path of :meth:`Simulator.run` for architectures with
+    replay modules: the group plan is built over a private
+    :class:`TracePlan` (kept out of the process-wide registry) with
+    ``sim`` itself as the lead, so nothing outlives the run and the
+    architecture is not validated twice. ``sim`` must be freshly
+    primed. Returns ``False`` — modules re-primed, ``state`` untouched
+    — when a module (or the DRAM) neither batches nor replays, so the
+    caller can run the reference loop instead.
+    """
+    plan = TracePlan(sim.trace)
+    gplan = GroupPlan(plan, sim)
+    if not gplan.replay_ok:
+        sim._prime_modules()
+        return False
+    _evaluate_member(plan, gplan, sim, state)
+    return True
+
+
 def _evaluate_member(
-    plan: TracePlan, gplan: GroupPlan, job: "_JobLike"
-) -> SimulationResult:
-    """One candidate's delta pass against the group's shared columns."""
-    trace = plan.trace
-    sim = Simulator(
-        trace,
-        job.memory,
-        job.connectivity,
-        job.sampling,
-        job.posted_writes,
-        validated=True,
-    )
-    groups, struct_group, _ = _build_groups(sim)
+    plan: TracePlan, gplan: GroupPlan, sim: Simulator, state: "_RunState"
+) -> None:
+    """One candidate's delta pass against the group's shared columns.
+
+    Accumulates into ``state`` and ``sim``'s channel counters exactly
+    what an independent run of ``sim`` would.
+    """
+    groups, _ = _build_groups(sim)
     if [group.target for group in groups] != gplan.targets:
         raise SimulationError(
             "batch group plan does not match the candidate's routing"
         )
-    state = _RunState(sim)
     cols = _member_columns(sim, state, gplan, groups)
     group_positions = gplan.positions_of
     if not gplan.has_replay:
         _evaluate_columns(
             sim, state, groups, group_positions, cols, gplan.core,
-            gplan.merged_dram, shared=gplan,
+            gplan.merged_dram, shared=gplan, walk=gplan.walk(plan, None),
         )
-        return sim._finalize(state)
-    on_l, counted, measured = plan.sampling_columns(sim.sampling)
-    latencies = _replay_pass(sim, state, groups, gplan, cols, on_l)
+        return
+    _, counted, measured = plan.sampling_columns(sim.sampling)
+    walk = gplan.walk(plan, sim.sampling)
+    latencies = _replay_pass(sim, state, groups, gplan, cols, walk)
     if sim.posted_writes:
         eff = np.where(plan.write_mask, np.int64(1), latencies)
     else:
@@ -460,10 +583,16 @@ def _evaluate_member(
         sim, state, groups, group_positions, cols, gplan.core, eff,
         counted, measured, shared=gplan,
     )
-    if obs.enabled() and gplan.merged_dram:
-        obs.incr("sim.kernel.openrow_merged_passes")
-        obs.incr("sim.kernel.openrow_merged_accesses", gplan.merged_dram)
-    return sim._finalize(state)
+    if obs.enabled():
+        if gplan.merged_dram:
+            obs.incr("sim.kernel.openrow_merged_passes")
+            obs.incr("sim.kernel.openrow_merged_accesses", gplan.merged_dram)
+        if walk.folds:
+            obs.incr("sim.batch.folded_spans", len(walk.folds))
+            obs.incr(
+                "sim.batch.folded_accesses",
+                sum(stop - start for start, stop in walk.folds),
+            )
 
 
 def _member_columns(
@@ -479,8 +608,6 @@ def _member_columns(
     """
     cols = _Columns()
     cols.gid = gplan.cols_gid
-    cols.row_batchable = gplan.cols_row_batchable
-    cols.row_replay = gplan.cols_row_replay
     cols.uncached = gplan.cols_uncached
     cols.mlat = gplan.cols_mlat
     cols.refill = gplan.cols_refill
@@ -556,10 +683,7 @@ def _member_columns(
     cols.dbeats = dbeats
     cols.docc = docc
     cols.bgocc = bgocc
-    if not gplan.has_replay:
-        # Only the columnar tail reads the contention-free partial sum;
-        # the replay walk rebuilds latencies row by row.
-        cols.u_partial = conn + cols.mlat + dbase + dbeats
+    cols.u_partial = conn + cols.mlat + dbase + dbeats
     return cols
 
 
@@ -569,17 +693,18 @@ def _replay_pass(
     groups: list,
     gplan: GroupPlan,
     cols,
-    on_l: list | None,
+    walk: _Walk,
 ) -> np.ndarray:
     """The candidate's contention/stall walk over the shared columns.
 
-    Replicates the reference recurrence's update order for every row —
-    uncached, batch-column, and replay rows alike, on- and off-window —
-    reading module outcomes from the group plan and pricing each replay
-    hit's stall from its affine term against this candidate's arrivals
-    and backing delay. Returns the raw latency column (pre
-    posted-write folding) and leaves ``state``/channel counters exactly
-    as the reference loop would.
+    Replicates the reference recurrence's update order for every row
+    of ``walk`` — uncached, batch-column, and replay rows alike, on- and
+    off-window — reading module outcomes from the group plan and
+    pricing each replay hit's stall from its affine term against this
+    candidate's arrivals and backing delay; the walk's folds add their
+    contention-free latencies in one sum each. Returns the raw latency
+    column (pre posted-write folding) and leaves ``state``/channel
+    counters exactly as the reference loop would.
     """
     channels = sim._channels
     page_hit_latency = sim.memory.dram.page_hit_latency
@@ -639,23 +764,26 @@ def _replay_pass(
             )
         )
 
-    conn_l = cols.conn.tolist()
-    occ_l = cols.occ.tolist()
-    dbeats_l = cols.dbeats.tolist()
-    docc_l = cols.docc.tolist()
-    bgocc_l = cols.bgocc.tolist()
-    ticks_l = gplan.ticks_l
-    gid_l = gplan.gid_l
-    mlat_l = gplan.mlat_l
-    refill_l = gplan.refill_l
-    bg_l = gplan.bg_l
-    core_l = gplan.core_l
-    dch_l = gplan.dch_l
-    rsrc_l = gplan.rsrc_l
-    ralpha_l = gplan.ralpha_l
-    rbeta_l = gplan.rbeta_l
+    rows = walk.rows
+    sel = slice(None) if rows is None else rows
+    conn_l = cols.conn[sel].tolist()
+    occ_l = cols.occ[sel].tolist()
+    dbeats_l = cols.dbeats[sel].tolist()
+    docc_l = cols.docc[sel].tolist()
+    bgocc_l = cols.bgocc[sel].tolist()
+    ticks_l = walk.ticks_l
+    gid_l = walk.gid_l
+    mlat_l = walk.mlat_l
+    refill_l = walk.refill_l
+    bg_l = walk.bg_l
+    core_l = walk.core_l
+    dch_l = walk.dch_l
+    rsrc_l = walk.rsrc_l
+    ralpha_l = walk.ralpha_l
+    rbeta_l = walk.rbeta_l
+    on_l = walk.on_l
     posted = sim.posted_writes
-    write_l = gplan.write_l if posted else None
+    write_l = walk.write_l if posted else None
 
     n = len(conn_l)
     lat_out = [0] * n
@@ -804,93 +932,36 @@ def _replay_pass(
                 lat = 1
             lag += lat - 1
     else:
-        for k in range(n):
-            gid = gid_l[k]
-            if gid != last_gid:
-                if wait_acc:
-                    waits[cch] += wait_acc
-                    wait_acc = 0
-                if busy_acc:
-                    busys[cch] += busy_acc
-                    busy_acc = 0
-                (
-                    kind, has_comp, ci, cch, csplit, cbase, back_kind,
-                    delay,
-                ) = ginfo[gid]
-                last_gid = gid
-            issue = ticks_l[k] + lag
-            on = on_l[k]
-            if kind == 0:
-                # Uncached: straight to DRAM over the off-chip wire.
-                if not has_comp:
-                    completion = issue + core_l[k]
-                else:
-                    if on:
-                        free = cluster_free[ci]
-                        start = issue if issue >= free else free
+        u = cols.u_partial + gplan.core
+        for walk_start, walk_stop, fold in walk.segments:
+            for k in range(walk_start, walk_stop):
+                gid = gid_l[k]
+                if gid != last_gid:
+                    if wait_acc:
+                        waits[cch] += wait_acc
+                        wait_acc = 0
+                    if busy_acc:
+                        busys[cch] += busy_acc
+                        busy_acc = 0
+                    (
+                        kind, has_comp, ci, cch, csplit, cbase, back_kind,
+                        delay,
+                    ) = ginfo[gid]
+                    last_gid = gid
+                issue = ticks_l[k] + lag
+                on = on_l[k]
+                if kind == 0:
+                    # Uncached: straight to DRAM over the off-chip wire.
+                    if not has_comp:
+                        completion = issue + core_l[k]
                     else:
-                        start = issue
-                    wait_acc += start - issue
-                    command_done = start + cbase
-                    if on:
-                        dch = dch_l[k]
-                        chfree = dram_free[dch]
-                        dram_start = (
-                            command_done
-                            if command_done >= chfree
-                            else chfree
-                        )
-                    else:
-                        dram_start = command_done
-                    core_k = core_l[k]
-                    completion = dram_start + core_k + dbeats_l[k]
-                    if on:
-                        dram_free[dch] = dram_start + core_k
-                        busy_until = (
-                            start + occ_l[k] if csplit else completion
-                        )
-                        busy_acc += busy_until - start
-                        if busy_until > cluster_free[ci]:
-                            cluster_free[ci] = busy_until
-            else:
-                if has_comp:
-                    if on:
-                        free = cluster_free[ci]
-                        start = issue if issue >= free else free
-                    else:
-                        start = issue
-                    wait = start - issue
-                else:
-                    start = issue
-                    wait = 0
-                arrival = start + conn_l[k]
-                response_latency = mlat_l[k]
-                if kind == 2:
-                    arr_list = arrivals[gid]
-                    arr_list.append(arrival)
-                    src = rsrc_l[k]
-                    if src >= 0:
-                        ready = (
-                            arr_list[src]
-                            + ralpha_l[k] * delay
-                            + rbeta_l[k]
-                        )
-                        if ready > arrival:
-                            response_latency += ready - arrival
-                served = arrival + response_latency
-                completion = served
-                if back_kind and refill_l[k]:
-                    if back_kind == 2:
-                        bci, bch, bsplit, bbase = binfo[gid]
                         if on:
-                            free = cluster_free[bci]
-                            back_start = (
-                                served if served >= free else free
-                            )
+                            free = cluster_free[ci]
+                            start = issue if issue >= free else free
                         else:
-                            back_start = served
-                        waits[bch] += back_start - served
-                        command_done = back_start + bbase
+                            start = issue
+                        wait_acc += start - issue
+                        command_done = start + cbase
                         if on:
                             dch = dch_l[k]
                             chfree = dram_free[dch]
@@ -906,52 +977,113 @@ def _replay_pass(
                         if on:
                             dram_free[dch] = dram_start + core_k
                             busy_until = (
-                                back_start + docc_l[k]
-                                if bsplit
-                                else completion
+                                start + occ_l[k] if csplit else completion
                             )
-                            delta = busy_until - back_start
-                            if delta > 0:
-                                busys[bch] += delta
-                            if busy_until > cluster_free[bci]:
-                                cluster_free[bci] = busy_until
+                            busy_acc += busy_until - start
+                            if busy_until > cluster_free[ci]:
+                                cluster_free[ci] = busy_until
+                else:
+                    if has_comp:
+                        if on:
+                            free = cluster_free[ci]
+                            start = issue if issue >= free else free
+                        else:
+                            start = issue
+                        wait = start - issue
                     else:
-                        completion = served + core_l[k]
-                if back_kind == 2 and bg_l[k] and on:
-                    bci, bch, bsplit, bbase = binfo[gid]
-                    free = cluster_free[bci]
-                    bg_start = served if served >= free else free
-                    occupancy = bgocc_l[k]
-                    busys[bch] += occupancy
-                    cluster_free[bci] = bg_start + occupancy
-                    dch = dch_l[k]
-                    chfree = dram_free[dch]
-                    dram_start = bg_start + bbase
-                    if dram_start < chfree:
-                        dram_start = chfree
-                    dram_free[dch] = dram_start + page_hit_latency
-                if has_comp and on:
-                    # Reference busy rule: the bus is released after its
-                    # occupancy on a split bus or a refill-free access,
-                    # and held for the whole miss otherwise.
-                    if csplit or completion == served:
-                        busy_until = start + occ_l[k]
-                    else:
-                        busy_until = completion
-                    busy_acc += busy_until - start
-                    if busy_until > cluster_free[ci]:
-                        cluster_free[ci] = busy_until
-                wait_acc += wait
+                        start = issue
+                        wait = 0
+                    arrival = start + conn_l[k]
+                    response_latency = mlat_l[k]
+                    if kind == 2:
+                        arr_list = arrivals[gid]
+                        arr_list.append(arrival)
+                        src = rsrc_l[k]
+                        if src >= 0:
+                            ready = (
+                                arr_list[src]
+                                + ralpha_l[k] * delay
+                                + rbeta_l[k]
+                            )
+                            if ready > arrival:
+                                response_latency += ready - arrival
+                    served = arrival + response_latency
+                    completion = served
+                    if back_kind and refill_l[k]:
+                        if back_kind == 2:
+                            bci, bch, bsplit, bbase = binfo[gid]
+                            if on:
+                                free = cluster_free[bci]
+                                back_start = (
+                                    served if served >= free else free
+                                )
+                            else:
+                                back_start = served
+                            waits[bch] += back_start - served
+                            command_done = back_start + bbase
+                            if on:
+                                dch = dch_l[k]
+                                chfree = dram_free[dch]
+                                dram_start = (
+                                    command_done
+                                    if command_done >= chfree
+                                    else chfree
+                                )
+                            else:
+                                dram_start = command_done
+                            core_k = core_l[k]
+                            completion = dram_start + core_k + dbeats_l[k]
+                            if on:
+                                dram_free[dch] = dram_start + core_k
+                                busy_until = (
+                                    back_start + docc_l[k]
+                                    if bsplit
+                                    else completion
+                                )
+                                delta = busy_until - back_start
+                                if delta > 0:
+                                    busys[bch] += delta
+                                if busy_until > cluster_free[bci]:
+                                    cluster_free[bci] = busy_until
+                        else:
+                            completion = served + core_l[k]
+                    if back_kind == 2 and bg_l[k] and on:
+                        bci, bch, bsplit, bbase = binfo[gid]
+                        free = cluster_free[bci]
+                        bg_start = served if served >= free else free
+                        occupancy = bgocc_l[k]
+                        busys[bch] += occupancy
+                        cluster_free[bci] = bg_start + occupancy
+                        dch = dch_l[k]
+                        chfree = dram_free[dch]
+                        dram_start = bg_start + bbase
+                        if dram_start < chfree:
+                            dram_start = chfree
+                        dram_free[dch] = dram_start + page_hit_latency
+                    if has_comp and on:
+                        # Reference busy rule: the bus is released after its
+                        # occupancy on a split bus or a refill-free access,
+                        # and held for the whole miss otherwise.
+                        if csplit or completion == served:
+                            busy_until = start + occ_l[k]
+                        else:
+                            busy_until = completion
+                        busy_acc += busy_until - start
+                        if busy_until > cluster_free[ci]:
+                            cluster_free[ci] = busy_until
+                    wait_acc += wait
 
-            lat = completion - issue
-            if lat < 1:
-                raise SimulationError(
-                    f"access {k} completed in {lat} cycles"
-                )
-            lat_out[k] = lat
-            if posted and write_l[k]:
-                lat = 1
-            lag += lat - 1
+                lat = completion - issue
+                if lat < 1:
+                    raise SimulationError(
+                        f"access {rows[k]} completed in {lat} cycles"
+                    )
+                lat_out[k] = lat
+                if posted and write_l[k]:
+                    lat = 1
+                lag += lat - 1
+            if fold is not None:
+                lag += _fold_span(u, gplan.write_mask, posted, *fold)
 
     if wait_acc:
         waits[cch] += wait_acc
@@ -964,4 +1096,8 @@ def _replay_pass(
     for index, busy in enumerate(busys):
         if busy:
             channels[index].busy_cycles += busy
-    return np.array(lat_out, dtype=np.int64)
+    if rows is None:
+        return np.array(lat_out, dtype=np.int64)
+    # Folded rows completed in their contention-free latency.
+    u[rows] = lat_out
+    return u

@@ -3,7 +3,7 @@
 :meth:`repro.sim.simulator.Simulator.run` dispatches here by default.
 The kernel produces **bit-identical** :class:`SimulationResult`\\ s to
 the scalar reference loop (``run(reference=True)``) by exploiting the
-structure of the per-access recurrence. Two engines share the work:
+structure of the per-access recurrence. Two fast paths share the work:
 
 * **Columnar engine** (:func:`_run_columnar`) — when every routing
   target is batch-capable (direct-DRAM routes, SRAMs, stream buffers,
@@ -21,17 +21,14 @@ structure of the per-access recurrence. Two engines share the work:
   ``cluster_free``/``dram_free`` timelines, busy cycles) is inherently
   serial for on-window accesses; those run a lean integer loop over
   the precomputed columns while everything around them stays batched.
-* **Segmented engine** (:func:`_run_segmented`) — when a
-  tick-dependent module is present (the DMA engines model prefetch
-  timeliness against issue time) the run is advanced in chunked
-  segments between synchronization points: batch-capable modules are
-  still presented their whole access subsequence up front (their state
-  cannot depend on the DMA's accesses), off-window spans free of
-  tick-dependent routes are evaluated columnar, and the scalar residue
-  walks the remaining accesses, advancing the DMA at its
-  synchronization ticks through the allocation-free ``access_raw``
-  tuple path while reading the batch-capable columns instead of
-  re-simulating them.
+* **Replay pass** — when a tick-dependent module is present (the DMA
+  engines model prefetch timeliness against issue time) the run is
+  evaluated as a one-member candidate group of the batch evaluator
+  (:func:`repro.sim.batch.run_replayed`): the DMA's behaviour is
+  recorded once symbolically, and one walk prices its stalls against
+  the run's own arrivals while folding off-window spans free of DMA
+  rows as vector sums. A module that neither batches nor replays
+  (only user extensions) sends the run to the reference loop.
 
 Because measured windows are a subset of on windows, off-window spans
 never touch the energy or latency statistics; where energy *is*
@@ -63,7 +60,6 @@ from repro.memory.energy import (
     DRAM_ACTIVATE_NJ,
     DRAM_PAGE_ACCESS_NJ,
     DRAM_PER_BYTE_NJ,
-    dram_transaction_energy_nj,
 )
 from repro.timing.batch import transfer_timing_columns
 from repro.trace.events import AccessKind
@@ -73,14 +69,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 
 #: Environment variable forcing the scalar reference loop.
 REFERENCE_ENV = REFERENCE_SIM_ENV
-
-#: Shortest off-window span worth dispatching to numpy; shorter runs
-#: execute scalar (identical results, lower constant cost).
-MIN_BATCH_SPAN = 64
-
-#: AccessKind singletons indexed by trace kind code (no per-access
-#: enum construction).
-_KINDS = (AccessKind.READ, AccessKind.WRITE)
 
 _WRITE_CODE = int(AccessKind.WRITE)
 
@@ -104,43 +92,11 @@ class _Group:
     batchable: bool
 
 
-@dataclass
-class _Plan:
-    """Per-run Python-list columns backing the scalar residue loop.
-
-    Built lazily on the first scalar span (:func:`_ensure_plan`) and
-    cached on :attr:`repro.sim.simulator._RunState.plan`, so the
-    trace-column→list conversion happens at most once per run — and
-    not at all for runs the columnar engine covers entirely.
-    """
-
-    addresses: list
-    sizes: list
-    kinds: list
-    struct_ids: list
-    ticks: list
-    on_list: list | None
-    counted_list: list | None
-    gid: list
-    mlat: list
-    refill: list
-    offpath: list
-    conn: list
-    occ: list
-    ginfo: list
-
-
 class _Columns:
-    """Whole-run per-access columns for batch-capable routing groups.
-
-    Rows routed to tick-dependent modules stay zero with
-    ``row_batchable`` false; the scalar residue simulates them inline.
-    """
+    """Whole-run per-access columns over every routing group."""
 
     __slots__ = (
         "gid",
-        "row_batchable",
-        "row_replay",
         "uncached",
         "mlat",
         "refill",
@@ -155,19 +111,15 @@ class _Columns:
     )
 
 
-def _build_groups(
-    sim: "Simulator",
-) -> tuple[list[_Group], np.ndarray, np.ndarray]:
-    """One :class:`_Group` per routing target, plus per-struct maps.
+def _build_groups(sim: "Simulator") -> tuple[list[_Group], np.ndarray]:
+    """One :class:`_Group` per routing target, plus the struct → gid map.
 
-    Returns ``(groups, struct_group, struct_batchable)`` where the two
-    arrays are indexed by struct id.
+    Returns ``(groups, struct_group)``, the array indexed by struct id.
     """
     channels = sim._channels
     groups: list[_Group] = []
     index_of: dict[str, int] = {}
     struct_group = np.empty(len(sim._routes), dtype=np.int64)
-    struct_batchable = np.empty(len(sim._routes), dtype=bool)
     for struct_id, route in enumerate(sim._routes):
         gid = index_of.get(route.target)
         if gid is None:
@@ -191,39 +143,47 @@ def _build_groups(
                 )
             )
         struct_group[struct_id] = gid
-        struct_batchable[struct_id] = groups[gid].batchable
-    return groups, struct_group, struct_batchable
-
-
-def _batch_spans(fast: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of ``fast`` at least :data:`MIN_BATCH_SPAN` long."""
-    edges = np.flatnonzero(fast[1:] != fast[:-1]) + 1
-    bounds = [0, *edges.tolist(), len(fast)]
-    return [
-        (bounds[k], bounds[k + 1])
-        for k in range(len(bounds) - 1)
-        if fast[bounds[k]] and bounds[k + 1] - bounds[k] >= MIN_BATCH_SPAN
-    ]
+    return groups, struct_group
 
 
 # -- entry point ------------------------------------------------------------
 
 
-def run_kernel(sim: "Simulator", state: "_RunState") -> None:
-    """Execute the whole trace into ``state`` (kernel engine)."""
+def run_kernel(sim: "Simulator", state: "_RunState") -> bool:
+    """Execute the whole trace into ``state`` on a fast path.
+
+    Runs the columnar engine when every target batches, and otherwise
+    the replay pass. Returns ``False``, with ``state`` untouched and the
+    modules primed, when the replay pass declines — some module (or the
+    DRAM) neither batches nor replays — and the caller runs the
+    reference loop instead.
+    """
     if not len(sim.trace):
-        return
-    groups, struct_group, struct_batchable = _build_groups(sim)
-    dram_batchable = bool(
-        getattr(type(sim.memory.dram), "supports_batch", False)
-    )
-    if dram_batchable and all(group.batchable for group in groups):
+        return True
+    groups, struct_group = _build_groups(sim)
+    if all(group.batchable for group in groups) and getattr(
+        type(sim.memory.dram), "supports_batch", False
+    ):
         _run_columnar(sim, state, groups, struct_group)
-    else:
-        _run_segmented(sim, state, groups, struct_group, dram_batchable)
+        return True
+    # The batch evaluator imports this module, so resolve it lazily.
+    from repro.sim.batch import run_replayed
+
+    return run_replayed(sim, state)
 
 
 # -- whole-run columns ------------------------------------------------------
+
+
+def _offpath_bytes(outcome) -> np.ndarray | None:
+    """A batch outcome's off-critical-path column: writeback + prefetch."""
+    writeback = outcome.writeback_bytes
+    prefetch = outcome.prefetch_bytes
+    if writeback is None:
+        return prefetch
+    if prefetch is None:
+        return writeback
+    return writeback + prefetch
 
 
 def _build_columns(
@@ -231,12 +191,11 @@ def _build_columns(
     state: "_RunState",
     groups: list[_Group],
     struct_group: np.ndarray,
-    shared=None,
 ) -> tuple[_Columns, dict[int, np.ndarray]]:
-    """Evaluate every batch-capable group over the whole run.
+    """Evaluate every (batch-capable) group over the whole run.
 
-    Advances each batch-capable module with one ``access_many`` call
-    over its entire access subsequence (exact by the
+    Advances each module with one ``access_many`` call over its entire
+    access subsequence (exact by the
     :attr:`~repro.memory.module.MemoryModule.supports_batch` contract:
     modules only observe their own accesses, and their outcomes are
     tick-independent), prices CPU-side and backing transfers with the
@@ -244,13 +203,6 @@ def _build_columns(
     timing-independent accounting — module hit/miss counts, channel
     bytes/transaction counters — into ``state`` immediately. Returns
     the columns plus each group's row positions.
-
-    ``shared`` (a :class:`repro.sim.batch.GroupPlan`) supplies each
-    module gid's outcome columns recorded once per candidate group, so
-    no module is advanced here at all; replay-recorded gids are
-    additionally flagged ``row_replay`` for the batch evaluator's
-    contention walk (their latency column is the stall-free base — the
-    walk adds each candidate's arrival-dependent stalls).
     """
     trace = sim.trace
     n = len(trace)
@@ -261,8 +213,6 @@ def _build_columns(
 
     cols = _Columns()
     cols.gid = gid_col
-    cols.row_batchable = np.zeros(n, dtype=bool)
-    cols.row_replay = np.zeros(n, dtype=bool)
     cols.uncached = np.zeros(n, dtype=bool)
     mlat = np.zeros(n, dtype=np.int64)
     refill = np.zeros(n, dtype=np.int64)
@@ -276,9 +226,6 @@ def _build_columns(
     group_positions: dict[int, np.ndarray] = {}
 
     for gid, group in enumerate(groups):
-        from_shared = shared is not None and gid in shared.outcomes
-        if not group.batchable and not from_shared:
-            continue
         positions = np.flatnonzero(gid_col == gid)
         if not len(positions):
             continue
@@ -287,9 +234,6 @@ def _build_columns(
         count = len(positions)
         cpu_state = group.cpu_state
         component = cpu_state.component
-        cols.row_batchable[positions] = group.batchable
-        if not group.batchable:
-            cols.row_replay[positions] = True
 
         if group.module is None:
             # Uncached: straight to DRAM over the off-chip connection.
@@ -306,23 +250,13 @@ def _build_columns(
             counts[2] += count
             state.misses += count
         else:
-            if from_shared:
-                lat_col, refill_col, off, hits = shared.outcomes[gid]
-            else:
-                outcome = group.module.access_many(
-                    addresses[positions], g_sizes, kinds[positions]
-                )
-                lat_col = outcome.latency
-                hits = int(np.count_nonzero(outcome.hit))
-                refill_col = outcome.refill_bytes
-                writeback = outcome.writeback_bytes
-                prefetch = outcome.prefetch_bytes
-                if writeback is None:
-                    off = prefetch
-                elif prefetch is None:
-                    off = writeback
-                else:
-                    off = writeback + prefetch
+            outcome = group.module.access_many(
+                addresses[positions], g_sizes, kinds[positions]
+            )
+            lat_col = outcome.latency
+            hits = int(np.count_nonzero(outcome.hit))
+            refill_col = outcome.refill_bytes
+            off = _offpath_bytes(outcome)
             mlat[positions] = lat_col
             counts = state.module_counts[group.target]
             counts[0] += count
@@ -393,7 +327,7 @@ def _build_columns(
 
 
 def _openrow_core(
-    sim: "Simulator", cols: _Columns
+    sim: "Simulator", dram_mask: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """The merged open-row pass: per-access DRAM core latency column.
 
@@ -404,8 +338,8 @@ def _openrow_core(
     the address column and the (memory-determined) transaction mask, so
     the batch evaluator shares one pass per candidate group.
     """
-    core = np.zeros(len(cols.gid), dtype=np.int64)
-    dram_idx = np.flatnonzero(cols.dram_mask)
+    core = np.zeros(len(dram_mask), dtype=np.int64)
+    dram_idx = np.flatnonzero(dram_mask)
     if len(dram_idx):
         core[dram_idx] = sim.memory.dram.open_row_latencies(
             sim.trace.addresses[dram_idx]
@@ -421,7 +355,7 @@ def _run_columnar(
 ) -> None:
     """Whole-run columnar evaluation (every target batch-capable)."""
     cols, group_positions = _build_columns(sim, state, groups, struct_group)
-    core, merged_dram = _openrow_core(sim, cols)
+    core, merged_dram = _openrow_core(sim, cols.dram_mask)
     _evaluate_columns(
         sim, state, groups, group_positions, cols, core, merged_dram
     )
@@ -436,14 +370,15 @@ def _evaluate_columns(
     core: np.ndarray,
     merged_dram: int,
     shared=None,
+    walk=None,
 ) -> None:
     """Fold prebuilt whole-run columns into ``state`` (no replay rows).
 
     The tail of the columnar engine after :func:`_build_columns` and
     the merged open-row pass — shared verbatim with the batch
-    evaluator, whose candidates arrive here with group-shared columns
-    and the group plan as ``shared`` (prebuilt walk lists and the
-    candidate-independent energy terms).
+    evaluator, whose candidates arrive here with group-shared columns,
+    the group plan as ``shared`` (the candidate-independent energy
+    terms), and the group's prebuilt whole-run row lists as ``walk``.
     """
     trace = sim.trace
     n = len(trace)
@@ -476,7 +411,7 @@ def _evaluate_columns(
         )
         _contended_pass(
             sim, state, groups, cols, core, u, latency, spans, write_mask,
-            shared=shared,
+            walk=walk,
         )
         eff = np.where(write_mask, np.int64(1), latency) if posted else latency
 
@@ -564,7 +499,7 @@ def _contended_pass(
     latency: np.ndarray,
     spans: list[tuple[int, int, bool]],
     write_mask: np.ndarray,
-    shared=None,
+    walk=None,
 ) -> None:
     """Serial contention walk over the on-window accesses.
 
@@ -574,9 +509,9 @@ def _contended_pass(
     reference order over the precomputed columns (no ``timing()``
     calls, no module calls, no response allocations). Writes the
     on-window latencies into ``latency`` and the wait/busy sums into
-    the channel states. On an unsampled whole-run walk, ``shared`` (a
-    batch group plan) supplies the candidate-independent row lists
-    prebuilt once per group, leaving only the connectivity-priced
+    the channel states. On an unsampled whole-run walk, ``walk`` (a
+    batch group plan's row lists) supplies the candidate-independent
+    lists prebuilt once per group, leaving only the connectivity-priced
     columns to convert per member.
     """
     trace = sim.trace
@@ -631,14 +566,14 @@ def _contended_pass(
     dbeats_l = cols.dbeats[sel].tolist()
     docc_l = cols.docc[sel].tolist()
     bgocc_l = cols.bgocc[sel].tolist()
-    if on_idx is None and shared is not None:
-        ticks_l = shared.ticks_l
-        gid_l = shared.gid_l
-        refill_l = shared.refill_l
-        core_l = shared.core_l
-        bg_l = shared.bg_l
-        dch_l = shared.dch_l
-        write_l = shared.write_l if posted else None
+    if on_idx is None and walk is not None:
+        ticks_l = walk.ticks_l
+        gid_l = walk.gid_l
+        refill_l = walk.refill_l
+        core_l = walk.core_l
+        bg_l = walk.bg_l
+        dch_l = walk.dch_l
+        write_l = walk.write_l if posted else None
     else:
         ticks_l = trace.ticks[sel].tolist()
         gid_l = cols.gid[sel].tolist()
@@ -664,22 +599,7 @@ def _contended_pass(
     last_gid = -1
     for span_start, span_stop, on in spans:
         if not on:
-            segment = u[span_start:span_stop]
-            if int(segment.min()) < 1:
-                bad = int(np.argmax(segment < 1))
-                raise SimulationError(
-                    f"access {span_start + bad} completed in "
-                    f"{int(segment[bad])} cycles"
-                )
-            if posted:
-                eff = np.where(
-                    write_mask[span_start:span_stop],
-                    np.int64(1),
-                    segment,
-                )
-                lag += int(eff.sum()) - (span_stop - span_start)
-            else:
-                lag += int(segment.sum()) - (span_stop - span_start)
+            lag += _fold_span(u, write_mask, posted, span_start, span_stop)
             continue
         stop_k = k + (span_stop - span_start)
         for k in range(k, stop_k):
@@ -809,6 +729,31 @@ def _contended_pass(
         latency[on_idx] = lat_column
 
 
+def _fold_span(
+    u: np.ndarray,
+    write_mask: np.ndarray,
+    posted: bool,
+    start: int,
+    stop: int,
+) -> int:
+    """The ``lag`` an off-window span ``[start, stop)`` adds.
+
+    Off-window accesses skip contention, so each completes in its
+    contention-free latency ``u`` and the span reduces to one slice
+    sum (posted writes count one issue slot). Raises on the span's
+    first access completing in under one cycle, as the reference does.
+    """
+    segment = u[start:stop]
+    if int(segment.min()) < 1:
+        bad = int(np.argmax(segment < 1))
+        raise SimulationError(
+            f"access {start + bad} completed in {int(segment[bad])} cycles"
+        )
+    if posted:
+        segment = np.where(write_mask[start:stop], np.int64(1), segment)
+    return int(segment.sum()) - (stop - start)
+
+
 def _accumulate_energy(
     sim: "Simulator",
     state: "_RunState",
@@ -911,437 +856,3 @@ def _accumulate_energy(
         state.energy_modules += module_sum
         state.energy_dram += dram_sum
     state.energy_wires += float(np.cumsum(wire_triples.ravel())[-1])
-
-
-# -- segmented engine -------------------------------------------------------
-
-
-def _run_segmented(
-    sim: "Simulator",
-    state: "_RunState",
-    groups: list[_Group],
-    struct_group: np.ndarray,
-    dram_batchable: bool,
-) -> None:
-    """Chunked advance around tick-dependent modules.
-
-    Batch-capable modules are still evaluated whole-run
-    (:func:`_build_columns`); the trace is then walked in order,
-    dispatching off-window spans free of tick-dependent routes to the
-    columnar :func:`_batch_span` and everything else to the scalar
-    residue, which advances the tick-dependent modules at their
-    synchronization points.
-    """
-    trace = sim.trace
-    n = len(trace)
-    sampling = sim.sampling
-    on_mask = counted_mask = None
-    if sampling is not None:
-        on_mask, counted_mask = sampling.masks(n)
-
-    cols, _ = _build_columns(sim, state, groups, struct_group)
-
-    spans: list[tuple[int, int]] = []
-    if on_mask is not None and dram_batchable:
-        fast = ~on_mask & cols.row_batchable
-        if fast.any():
-            spans = _batch_spans(fast)
-
-    # Profiling accumulates in locals and flushes once per run, so the
-    # per-span cost is an integer add and the disabled-mode cost is a
-    # single boolean check after the run — never per-access work.
-    scalar_spans = batched_spans = batched_accesses = merged_dram = 0
-    cursor = 0
-    for start, stop in spans:
-        if cursor < start:
-            plan = _ensure_plan(sim, state, cols, groups, on_mask, counted_mask)
-            _scalar_span(sim, state, plan, cursor, start)
-            scalar_spans += 1
-        merged_dram += _batch_span(sim, state, cols, start, stop)
-        batched_spans += 1
-        batched_accesses += stop - start
-        cursor = stop
-    if cursor < n:
-        plan = _ensure_plan(sim, state, cols, groups, on_mask, counted_mask)
-        _scalar_span(sim, state, plan, cursor, n)
-        scalar_spans += 1
-    if obs.enabled():
-        obs.incr("sim.kernel.scalar_spans", scalar_spans)
-        obs.incr("sim.kernel.batched_spans", batched_spans)
-        obs.incr("sim.kernel.batched_accesses", batched_accesses)
-        if batched_spans:
-            obs.incr("sim.kernel.openrow_merged_passes", batched_spans)
-            obs.incr("sim.kernel.openrow_merged_accesses", merged_dram)
-        if on_mask is None:
-            onwindow = int(np.count_nonzero(cols.row_batchable))
-        else:
-            onwindow = int(np.count_nonzero(on_mask & cols.row_batchable))
-        obs.incr("sim.kernel.onwindow_batched", onwindow)
-
-
-def _raw_adapter(module):
-    """``access_raw``-shaped wrapper for modules without the tuple path."""
-
-    def call(address, size, kind, tick):
-        response = module.access(address, size, kind, tick)
-        return (
-            response.hit,
-            response.latency,
-            response.refill_bytes,
-            response.writeback_bytes,
-            response.prefetch_bytes,
-        )
-
-    return call
-
-
-def _ensure_plan(
-    sim: "Simulator",
-    state: "_RunState",
-    cols: _Columns,
-    groups: list[_Group],
-    on_mask: np.ndarray | None,
-    counted_mask: np.ndarray | None,
-) -> _Plan:
-    """The scalar residue's list columns, built once per run."""
-    plan = state.plan
-    if plan is not None:
-        return plan
-    trace = sim.trace
-    ginfo = []
-    for group in groups:
-        module = group.module
-        if module is None or group.batchable:
-            access_call = None
-        else:
-            access_call = getattr(module, "access_raw", None)
-            if access_call is None:
-                access_call = _raw_adapter(module)
-        ginfo.append(
-            (
-                module is None,
-                group.batchable,
-                group.cpu_state,
-                group.backing_state,
-                access_call,
-                0.0 if module is None else module.access_energy_nj,
-                state.module_counts[group.target],
-            )
-        )
-    plan = _Plan(
-        addresses=trace.addresses.tolist(),
-        sizes=trace.sizes.tolist(),
-        kinds=trace.kinds.tolist(),
-        struct_ids=trace.struct_ids.tolist(),
-        ticks=trace.ticks.tolist(),
-        on_list=None if on_mask is None else on_mask.tolist(),
-        counted_list=None if counted_mask is None else counted_mask.tolist(),
-        gid=cols.gid.tolist(),
-        mlat=cols.mlat.tolist(),
-        refill=cols.refill.tolist(),
-        offpath=cols.offpath.tolist(),
-        conn=cols.conn.tolist(),
-        occ=cols.occ.tolist(),
-        ginfo=ginfo,
-    )
-    state.plan = plan
-    return plan
-
-
-def _scalar_span(
-    sim: "Simulator",
-    state: "_RunState",
-    plan: _Plan,
-    span_start: int,
-    span_stop: int,
-) -> None:
-    """The reference recurrence over ``[span_start, span_stop)``.
-
-    Operation-for-operation the loop of
-    :meth:`Simulator._reference_loop` (same integer updates, same float
-    accumulation order), re-expressed over the plan's pre-converted
-    Python-list columns. Rows routed to batch-capable modules read
-    their module outcome and transfer timing from the whole-run
-    columns (their counters were folded in by
-    :func:`_build_columns`); rows routed to tick-dependent modules are
-    the synchronization points — they advance the module inline
-    through the allocation-free ``access_raw`` tuple path with full
-    reference accounting.
-    """
-    posted_writes = sim.posted_writes
-    dram_transaction = sim._dram_transaction
-    background_traffic = sim._background_traffic
-    background_contention = sim._background_contention
-    transaction_energy = dram_transaction_energy_nj
-    kind_table = _KINDS
-    write_code = _WRITE_CODE
-
-    addresses = plan.addresses
-    sizes = plan.sizes
-    kinds = plan.kinds
-    struct_ids = plan.struct_ids
-    ticks = plan.ticks
-    on_list = plan.on_list
-    counted_list = plan.counted_list
-    no_sampling = on_list is None
-    gid_l = plan.gid
-    mlat_l = plan.mlat
-    refill_l = plan.refill
-    offpath_l = plan.offpath
-    conn_l = plan.conn
-    occ_l = plan.occ
-    ginfo = plan.ginfo
-
-    cluster_free = state.cluster_free
-    dram_free = state.dram_free
-    lag = state.lag
-    measured = state.measured
-    latency_sum = state.latency_sum
-    energy_sum = state.energy_sum
-    energy_modules = state.energy_modules
-    energy_dram = state.energy_dram
-    energy_wires = state.energy_wires
-    misses = state.misses
-    struct_counts = state.struct_counts
-    struct_latency = state.struct_latency
-
-    for i in range(span_start, span_stop):
-        size = sizes[i]
-        struct_id = struct_ids[i]
-        issue = ticks[i] + lag
-        if no_sampling:
-            on_window = True
-            counted = True
-        else:
-            on_window = on_list[i]
-            counted = counted_list[i]
-        (
-            is_uncached,
-            is_batchable,
-            cpu_state,
-            back_state,
-            access_call,
-            module_nj,
-            counts,
-        ) = ginfo[gid_l[i]]
-        energy = 0.0
-
-        if is_uncached:
-            # Uncached: straight to DRAM over the off-chip connection
-            # (counts and traffic totals already folded in columnar).
-            completion, wait, page_hit = dram_transaction(
-                cpu_state, issue, addresses[i], size, cluster_free,
-                dram_free, on_window,
-            )
-            if counted:
-                dram_nj = transaction_energy(size, page_hit)
-                wire_nj = size * cpu_state.energy_per_byte
-                energy += dram_nj + wire_nj
-                energy_dram += dram_nj
-                energy_wires += wire_nj
-            cpu_state.wait_cycles += wait
-        elif is_batchable:
-            component = cpu_state.component
-            if component is None:
-                start = issue
-                wait = 0
-            else:
-                free = cluster_free[cpu_state.cluster_index]
-                start = issue if issue >= free else free
-                if not on_window:
-                    start = issue
-                wait = start - issue
-            served = start + conn_l[i] + mlat_l[i]
-            completion = served
-            refill = refill_l[i]
-            if refill:
-                completion, back_wait, page_hit = (
-                    dram_transaction(
-                        back_state, served, addresses[i], refill,
-                        cluster_free, dram_free, on_window,
-                    )
-                )
-                back_state.wait_cycles += back_wait
-                if counted:
-                    dram_nj = transaction_energy(refill, page_hit)
-                    wire_nj = refill * back_state.energy_per_byte
-                    energy += dram_nj + wire_nj
-                    energy_dram += dram_nj
-                    energy_wires += wire_nj
-            off_path = offpath_l[i]
-            if off_path:
-                background_contention(
-                    back_state, served, addresses[i], off_path,
-                    cluster_free, dram_free, on_window,
-                )
-                if counted:
-                    # Background prefetch/writeback bursts run in
-                    # page mode.
-                    dram_nj = transaction_energy(off_path, True)
-                    wire_nj = off_path * back_state.energy_per_byte
-                    energy += dram_nj + wire_nj
-                    energy_dram += dram_nj
-                    energy_wires += wire_nj
-            if component is not None and on_window:
-                cluster = cpu_state.cluster_index
-                if component.split_transactions or completion == served:
-                    busy_until = start + occ_l[i]
-                else:
-                    # Non-split bus held for the whole miss.
-                    busy_until = completion
-                cpu_state.busy_cycles += max(0, busy_until - start)
-                if busy_until > cluster_free[cluster]:
-                    cluster_free[cluster] = busy_until
-            cpu_state.wait_cycles += wait
-            if counted:
-                wire_nj = size * cpu_state.energy_per_byte
-                energy += module_nj + wire_nj
-                energy_modules += module_nj
-                energy_wires += wire_nj
-        else:
-            # Tick-dependent module: synchronization point.
-            component = cpu_state.component
-            if component is None:
-                start = issue
-                wait = 0
-                conn_latency = 0
-                occupancy = 0
-            else:
-                free = cluster_free[cpu_state.cluster_index]
-                start = issue if issue >= free else free
-                if not on_window:
-                    start = issue
-                wait = start - issue
-                timing = component.timing(size)
-                conn_latency = timing.latency
-                occupancy = timing.occupancy
-
-            arrival = start + conn_latency
-            hit, response_latency, refill, writeback, prefetch = (
-                access_call(
-                    addresses[i], size, kind_table[kinds[i]], arrival
-                )
-            )
-            served = arrival + response_latency
-            counts[0] += 1
-            if hit:
-                counts[1] += 1
-            else:
-                counts[2] += 1
-                misses += 1
-
-            completion = served
-            if back_state is not None:
-                if refill:
-                    completion, back_wait, page_hit = (
-                        dram_transaction(
-                            back_state, served, addresses[i], refill,
-                            cluster_free, dram_free, on_window,
-                        )
-                    )
-                    back_state.bytes_moved += refill
-                    back_state.transactions += 1
-                    back_state.wait_cycles += back_wait
-                    if counted:
-                        dram_nj = transaction_energy(refill, page_hit)
-                        wire_nj = refill * back_state.energy_per_byte
-                        energy += dram_nj + wire_nj
-                        energy_dram += dram_nj
-                        energy_wires += wire_nj
-                off_path = writeback + prefetch
-                if off_path:
-                    background_traffic(
-                        back_state, served, addresses[i], off_path,
-                        cluster_free, dram_free, on_window,
-                    )
-                    if counted:
-                        # Background prefetch/writeback bursts run in
-                        # page mode.
-                        dram_nj = transaction_energy(off_path, True)
-                        wire_nj = off_path * back_state.energy_per_byte
-                        energy += dram_nj + wire_nj
-                        energy_dram += dram_nj
-                        energy_wires += wire_nj
-
-            if component is not None and on_window:
-                cluster = cpu_state.cluster_index
-                if component.split_transactions or completion == served:
-                    busy_until = start + occupancy
-                else:
-                    # Non-split bus held for the whole miss.
-                    busy_until = completion
-                cpu_state.busy_cycles += max(0, busy_until - start)
-                if busy_until > cluster_free[cluster]:
-                    cluster_free[cluster] = busy_until
-            cpu_state.bytes_moved += size
-            cpu_state.transactions += 1
-            cpu_state.wait_cycles += wait
-            if counted:
-                wire_nj = size * cpu_state.energy_per_byte
-                energy += module_nj + wire_nj
-                energy_modules += module_nj
-                energy_wires += wire_nj
-
-        latency = completion - issue
-        if latency < 1:
-            raise SimulationError(
-                f"access {i} completed in {latency} cycles"
-            )
-        if posted_writes and kinds[i] == write_code:
-            # Posted write: the CPU moves on after one issue slot;
-            # the transfer still happened on the channels above.
-            latency = 1
-        lag += latency - 1
-        if counted:
-            measured += 1
-            latency_sum += latency
-            energy_sum += energy
-            struct_counts[struct_id] += 1
-            struct_latency[struct_id] += latency
-
-    state.lag = lag
-    state.measured = measured
-    state.latency_sum = latency_sum
-    state.energy_sum = energy_sum
-    state.energy_modules = energy_modules
-    state.energy_dram = energy_dram
-    state.energy_wires = energy_wires
-    state.misses = misses
-
-
-def _batch_span(
-    sim: "Simulator",
-    state: "_RunState",
-    cols: _Columns,
-    span_start: int,
-    span_stop: int,
-) -> int:
-    """One off-window span of batch-capable rows, evaluated columnar.
-
-    Every access in the span is off-window (no contention, no energy,
-    no measured statistics) and its module outcome is already in the
-    whole-run columns, so the span reduces to one DRAM open-row pass
-    over its transactions (already in trace order — each access makes
-    at most one) and a single ``lag`` update. Returns the number of
-    DRAM transactions for the profiling counters.
-    """
-    latencies = cols.u_partial[span_start:span_stop].copy()
-    dram_rows = np.flatnonzero(cols.dram_mask[span_start:span_stop])
-    if len(dram_rows):
-        latencies[dram_rows] += sim.memory.dram.open_row_latencies(
-            sim.trace.addresses[span_start + dram_rows]
-        )
-    if int(latencies.min()) < 1:
-        # Match the reference loop: report the first offending access.
-        bad = int(np.argmax(latencies < 1))
-        raise SimulationError(
-            f"access {span_start + bad} completed in "
-            f"{int(latencies[bad])} cycles"
-        )
-    if sim.posted_writes:
-        kinds = sim.trace.kinds[span_start:span_stop]
-        lag_deltas = np.where(kinds == _WRITE_CODE, 0, latencies - 1)
-        state.lag += int(lag_deltas.sum())
-    else:
-        state.lag += int(latencies.sum()) - (span_stop - span_start)
-    return len(dram_rows)

@@ -25,10 +25,10 @@ Energy model: module array energy per access, DRAM core + pin energy
 per DRAM transaction, and wire switching energy per byte per
 connection (from the connectivity architecture's wire models).
 
-Execution engines: :meth:`Simulator.run` dispatches to the columnar
-fast-path kernel (:mod:`repro.sim.kernels`) by default and to the
-scalar reference loop kept in this module with ``run(reference=True)``
-or ``REPRO_REFERENCE_SIM=1``. The two produce bit-identical
+Execution engines: :meth:`Simulator.run` dispatches to a fast path
+(:mod:`repro.sim.kernels`) by default and to the scalar reference loop
+kept in this module with ``run(reference=True)`` or
+``REPRO_REFERENCE_SIM=1``. They produce bit-identical
 :class:`SimulationResult`\\ s — the kernel's golden-equivalence suite
 asserts it — so callers and caches never need to know which ran.
 """
@@ -94,11 +94,11 @@ class _ChannelState:
 
 
 class _RunState:
-    """Mutable whole-run accumulators shared by both execution engines.
+    """Mutable whole-run accumulators shared by every execution path.
 
-    The reference loop and the columnar kernel both read and write this
-    record span by span, so a run can interleave scalar and batched
-    spans while accumulating one consistent set of statistics.
+    The reference loop, the columnar kernel, and the batch evaluator's
+    replay pass all accumulate into this one record, which
+    :meth:`Simulator._finalize` folds into the result.
     """
 
     __slots__ = (
@@ -115,7 +115,6 @@ class _RunState:
         "module_counts",
         "struct_counts",
         "struct_latency",
-        "plan",
     )
 
     def __init__(self, simulator: "Simulator") -> None:
@@ -138,9 +137,6 @@ class _RunState:
         }
         self.struct_counts = [0] * len(simulator._routes)
         self.struct_latency = [0] * len(simulator._routes)
-        #: Lazily-built per-run Python-list trace columns (the kernel's
-        #: scalar residue builds them once per run, not once per span).
-        self.plan = None
 
 
 class Simulator:
@@ -296,10 +292,15 @@ class Simulator:
 
         Args:
             reference: ``True`` forces the scalar reference loop,
-                ``False`` forces the columnar kernel, and ``None`` (the
-                default) selects the kernel unless the
+                ``False`` selects a fast path where one applies, and
+                ``None`` (the default) does too unless the
                 ``REPRO_REFERENCE_SIM`` environment variable opts out.
-                Both engines return bit-identical results.
+                Every path returns bit-identical results.
+
+        The fast path is the columnar kernel when every module batches,
+        and the batch evaluator's replay pass over a private one-member
+        group when the rest replay (the DMA engines); a module that
+        neither batches nor replays runs the reference loop.
         """
         from repro.sim.kernels import reference_requested, run_kernel
 
@@ -310,10 +311,8 @@ class Simulator:
             for channel_state in self._channels:
                 channel_state.reset()
             state = _RunState(self)
-            if reference:
+            if reference or not run_kernel(self, state):
                 self._reference_loop(state)
-            else:
-                run_kernel(self, state)
             result = self._finalize(state)
         if obs.enabled():
             obs.incr("sim.runs")
@@ -634,30 +633,12 @@ class Simulator:
         dram_free: list[int],
         on_window: bool,
     ) -> None:
-        """Off-critical-path traffic: occupies connection + DRAM only."""
+        """Off-critical-path traffic: occupies connection + DRAM only.
+
+        ``dram_free`` is the per-channel core timeline, updated in place.
+        """
         state.bytes_moved += size
         state.background_transactions += 1
-        self._background_contention(
-            state, ready, address, size, cluster_free, dram_free, on_window
-        )
-
-    def _background_contention(
-        self,
-        state: _ChannelState,
-        ready: int,
-        address: int,
-        size: int,
-        cluster_free: list[int],
-        dram_free: list[int],
-        on_window: bool,
-    ) -> None:
-        """The contention half of :meth:`_background_traffic`.
-
-        The kernel counts background bytes/transactions columnar once
-        per run, so its loops need the occupancy/timeline updates
-        without re-touching the traffic counters. ``dram_free`` is the
-        per-channel core timeline, updated in place.
-        """
         component = state.component
         if component is None or not on_window:
             return

@@ -130,7 +130,7 @@ class TestArchitectureEdges:
         scalar/batched pair in lockstep (the columnar engine's
         vectorized guard fires), ``batch=False`` honours the
         ``supports_batch`` contract for a scalar-only override (the
-        scalar residue's guard fires).
+        reference loop's guard fires).
         """
         from repro.errors import SimulationError
         from repro.memory.sram import Sram

@@ -2,7 +2,7 @@
 
 PR 10 adds multi-channel DRAM, multi-port SRAM, the 2D mesh, and the
 SpMV workload. The same exactness contract that protects the original
-families applies here: the columnar kernel, the segmented engine, and
+families applies here: the columnar kernel, the DMA replay pass, and
 the cross-candidate batch evaluator must all be bit-identical to the
 scalar reference on architectures using the new modules, and ConEx
 must enumerate the mesh (with port-aware feasibility) like any other

@@ -37,10 +37,16 @@ from repro.memory.cache import Cache, WritePolicy
 from repro.memory.dram import Dram
 from repro.memory.library import default_memory_library, mixed_architecture
 from repro.memory.stream_buffer import StreamBuffer
-from repro.sim.batch import clear_plan_registry
-from repro.sim.kernels import MIN_BATCH_SPAN, _batch_spans, reference_requested
+from repro.sim import batch as batch_module
+from repro.sim.batch import (
+    MIN_BATCH_SPAN,
+    _batch_spans,
+    clear_plan_registry,
+    evaluate_group,
+)
+from repro.sim.kernels import reference_requested
 from repro.sim.sampling import SamplingConfig
-from repro.sim.simulator import simulate
+from repro.sim.simulator import Simulator, simulate
 from repro.trace.events import AccessKind, TraceBuilder
 from repro.workloads import get_workload
 
@@ -127,10 +133,10 @@ def test_kernel_matches_reference(workload, sampling_mode, posted, conn_mode):
     assert kernel == reference
 
 
-#: DMA-heavy grid: tick-dependent modules force the segmented engine,
-#: crossed with sampling, posted writes, and connectivity so the
-#: synchronization-point walk is exercised against every contention
-#: regime (including whole-trace scalar residues when unsampled).
+#: DMA-heavy grid: tick-dependent modules force the replay pass,
+#: crossed with sampling, posted writes, and connectivity so the stall
+#: walk and its off-window span fold are exercised against every
+#: contention regime (including whole-trace walks when unsampled).
 DMA_GRID = list(
     itertools.product(
         ("unsampled", "sampled"),
@@ -145,7 +151,7 @@ DMA_GRID = list(
 def test_kernel_matches_reference_with_dma(
     sampling_mode, posted, conn_mode, dma_preset
 ):
-    """DMA-mapped structures run segmented; results stay exact."""
+    """DMA-mapped structures run the replay pass; results stay exact."""
     trace = _trace("li")
     memory = mixed_architecture(trace, MEM_LIBRARY, dma_preset=dma_preset)
     connectivity = _connectivity(memory, trace, conn_mode)
@@ -157,6 +163,79 @@ def test_kernel_matches_reference_with_dma(
         trace, memory, connectivity, sampling, posted, reference=False
     )
     assert kernel == reference
+
+
+class _ScalarOnlyCache(Cache):
+    """A user extension that neither batches nor replays."""
+
+    supports_batch = False
+    supports_replay = False
+
+
+class _DecliningCache(_ScalarOnlyCache):
+    """Claims replay, then declines to record (the base ``None``)."""
+
+    supports_replay = True
+
+
+def _scalar_only_architecture(trace, module_class):
+    modules = [
+        module_class("scalar", capacity=2048, line_size=32),
+        MEM_LIBRARY.get("cache_4k_16b_1w").instantiate("batch"),
+    ]
+    # The batch cache serves the first struct, so its columns are built
+    # (and its tags warmed) before the scalar module is seen.
+    mapping = {
+        struct: ("batch", "scalar")[index % 2]
+        for index, struct in enumerate(trace.structs[:4])
+    }
+    return MemoryArchitecture(
+        "scalar_only",
+        modules,
+        MEM_LIBRARY.get("dram_4bank").instantiate(),
+        mapping,
+        "dram",
+    )
+
+
+@pytest.mark.parametrize("module_class", [_ScalarOnlyCache, _DecliningCache])
+@pytest.mark.parametrize("sampling_mode", ["unsampled", "sampled"])
+@pytest.mark.parametrize("conn_mode", ["ideal", "amba"])
+def test_scalar_only_module_falls_back_to_reference(
+    sampling_mode, conn_mode, module_class
+):
+    """A module that neither batches nor replays runs the reference loop."""
+    trace = _trace("li")
+    memory = _scalar_only_architecture(trace, module_class)
+    connectivity = _connectivity(memory, trace, conn_mode)
+    sampling = SAMPLING if sampling_mode == "sampled" else None
+    reference = simulate(
+        trace, memory, connectivity, sampling, reference=True
+    )
+    assert simulate(trace, memory, connectivity, sampling) == reference
+    job = SimulationJob(
+        memory=memory, connectivity=connectivity, sampling=sampling
+    )
+    report = simulate_batch(trace, [job], workers=1, cache=NullCache())
+    assert list(report.results) == [reference]
+    results, delta_candidates = evaluate_group(trace, [job])
+    assert results == [reference]
+    assert delta_candidates == 0
+
+
+@pytest.mark.parametrize("sampling_mode", ["unsampled", "sampled"])
+def test_run_retains_no_state(sampling_mode):
+    """``run()`` on a DMA architecture leaves the plan registry alone."""
+    trace = _trace("li")
+    memory = mixed_architecture(trace, MEM_LIBRARY, dma_preset="ll_dma_32")
+    connectivity = _connectivity(memory, trace, "amba")
+    sampling = SAMPLING if sampling_mode == "sampled" else None
+    simulator = Simulator(trace, memory, connectivity, sampling)
+    registry = list(batch_module._PLANS.items())
+    first = simulator.run()
+    assert list(batch_module._PLANS.items()) == registry
+    assert simulator.run() == first
+    assert list(batch_module._PLANS.items()) == registry
 
 
 def test_environment_opt_out(monkeypatch):
@@ -294,11 +373,11 @@ def test_stream_buffer_access_many_matches_access(seed, depth):
 #
 # Hypothesis drives randomly shaped traces through both engines. Two
 # properties matter most to the batched kernel: (a) tick-dependent
-# modules (DMA engines) advanced in chunked segments between
-# synchronization points must land in exactly the state the
-# access-by-access reference leaves them in, and (b) the compacted
-# on-window contention walk must reproduce every per-channel wait/busy
-# counter. ``SimulationResult`` equality covers both, but the channel
+# modules (DMA engines) replayed from one symbolic recording, with
+# DMA-free off-window spans folded into vector sums, must price every
+# stall exactly as the access-by-access reference does, and (b) the
+# compacted on-window contention walk must reproduce every per-channel
+# wait/busy counter. ``SimulationResult`` equality covers both, but the channel
 # counters are also asserted explicitly so a regression names the
 # broken accounting rather than just "results differ".
 
@@ -349,13 +428,14 @@ _PROP_SETTINGS = settings(
 @given(
     trace=_random_traces(),
     dma_preset=st.sampled_from(["si_dma_32", "ll_dma_32"]),
+    conn_mode=st.sampled_from(CONNECTIVITY_MODES),
     posted=st.booleans(),
     sampled=st.booleans(),
 )
 def test_property_tick_dependent_modules_match_reference(
-    trace, dma_preset, posted, sampled
+    trace, dma_preset, conn_mode, posted, sampled
 ):
-    """Chunked segment advancement equals access-by-access stepping."""
+    """The replay pass equals access-by-access stepping, contended too."""
     memory = MemoryArchitecture(
         "prop_dma",
         [
@@ -366,9 +446,14 @@ def test_property_tick_dependent_modules_match_reference(
         {"chain": "dma", "stream": "cache"},
         "dram",
     )
+    connectivity = _connectivity(memory, trace, conn_mode)
     sampling = _PROP_SAMPLING if sampled else None
-    reference = simulate(trace, memory, None, sampling, posted, reference=True)
-    kernel = simulate(trace, memory, None, sampling, posted, reference=False)
+    reference = simulate(
+        trace, memory, connectivity, sampling, posted, reference=True
+    )
+    kernel = simulate(
+        trace, memory, connectivity, sampling, posted, reference=False
+    )
     assert kernel == reference
 
 
