@@ -5,8 +5,8 @@ simulation batch in the library), both with the result cache disabled
 so each run measures real simulation work:
 
 * **per-run vs batch (serial)** — the Phase II candidate list evaluated
-  through :func:`repro.exec.simulate_many` (one independent kernel
-  dispatch per candidate, the pre-batch path) and through
+  as a loop of independent :func:`repro.sim.simulate` calls (one
+  kernel run per candidate) and through
   :func:`repro.exec.simulate_batch` (candidates grouped by memory
   signature, sharing trace plans and module columns). Interleaved
   rounds; each leg records its minimum (the least-noise estimator).
@@ -57,8 +57,8 @@ from repro.exec import (
     ShardedBackend,
     SimulationJob,
     simulate_batch,
-    simulate_many,
 )
+from repro.sim import simulate
 from repro.sim.batch import clear_plan_registry
 from repro.workloads import get_workload
 
@@ -155,7 +155,16 @@ def regenerate() -> str:
     for _ in range(rounds):
         with _timing_region():
             start = time.perf_counter()
-            per_run = simulate_many(trace, jobs, workers=1, cache=NullCache())
+            per_run = tuple(
+                simulate(
+                    trace,
+                    job.memory,
+                    job.connectivity,
+                    sampling=job.sampling,
+                    posted_writes=job.posted_writes,
+                )
+                for job in jobs
+            )
             per_run_times.append(time.perf_counter() - start)
 
         with _timing_region():
@@ -163,7 +172,7 @@ def regenerate() -> str:
             batched = simulate_batch(trace, jobs, workers=1, cache=NullCache())
             batch_times.append(time.perf_counter() - start)
 
-        assert batched.results == per_run.results  # bit-identical, job-keyed
+        assert batched.results == per_run  # bit-identical, job-keyed
     per_run_seconds = min(per_run_times)
     batch_seconds = min(batch_times)
     batch_record = common.record_parallel_timing(

@@ -3,14 +3,15 @@
 The :mod:`repro.obs` layer promises to be effectively free: near-zero
 when disabled (the default), and a small bounded cost when enabled.
 This benchmark holds it to that promise with two measurements over a
-serial ``simulate_many`` batch (cache disabled, so every run is real
-simulation work):
+serial ``simulate_batch`` batch (cache disabled, so every candidate is
+real simulation work):
 
 * **Enabled overhead** — the same batch timed with recording off and
   on; the enabled wall time must stay within 5% of the disabled one.
-  While enabled, every simulation records its ``sim.run`` span, the
-  kernel flushes its per-span profiling counters, and the engine
-  records the batch accounting — the full instrumentation cost.
+  While enabled, every group records its ``sim.batch.group`` span and
+  counters, and the engine records the batch accounting — the full
+  instrumentation cost. Best-of-N timing means both modes are measured
+  on warm trace and group plans.
 * **Disabled overhead** — what the instrumentation costs when nobody
   asked for it. The in-simulation call sites all guard on one
   module-global boolean (``span()`` additionally returns a shared
@@ -31,7 +32,7 @@ import time
 import common
 from repro import obs
 from repro.apex.architectures import MemoryArchitecture
-from repro.exec import NullCache, SimulationJob, simulate_many
+from repro.exec import NullCache, SimulationJob, simulate_batch
 from repro.workloads import get_workload
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() == "1"
@@ -66,7 +67,7 @@ def _time_batch(trace, jobs) -> float:
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        simulate_many(trace, jobs, workers=1, cache=NullCache())
+        simulate_batch(trace, jobs, workers=1, cache=NullCache())
         best = min(best, time.perf_counter() - start)
     return best
 

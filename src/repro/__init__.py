@@ -32,7 +32,7 @@ Package layout:
   contribution).
 * :mod:`repro.core` — the MemorEx pipeline, exploration strategies,
   and report rendering.
-* :mod:`repro.exec` — parallel batch evaluation (``simulate_many``)
+* :mod:`repro.exec` — batch evaluation (``simulate_batch``)
   and the content-addressed simulation result cache.
 * :mod:`repro.config` — the typed :class:`Settings` snapshot of every
   ``REPRO_*`` environment variable.

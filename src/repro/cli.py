@@ -357,7 +357,7 @@ def _cmd_apex(args: argparse.Namespace) -> None:
             trace,
             registry.memory_library(args.memory_lib),
             ApexConfig(select_count=args.select),
-            hints=workload.pattern_hints,
+            hints=workload.hints_for(trace),
             workers=args.jobs,
             runtime=runtime,
             backend=args.backend,
@@ -413,7 +413,7 @@ def _cmd_coverage(args: argparse.Namespace) -> None:
 
     workload = get_workload(args.workload, scale=args.scale, seed=args.seed)
     trace = workload.trace()
-    hints = dict(workload.pattern_hints)
+    hints = workload.hints_for(trace)
     # A reduced space keeps the Full reference tractable from the CLI.
     apex_config = ApexConfig(
         cache_options=(None, "cache_4k_16b_1w", "cache_16k_32b_2w"),

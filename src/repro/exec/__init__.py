@@ -4,22 +4,22 @@ The exploration layers (:mod:`repro.apex`, :mod:`repro.conex`,
 :mod:`repro.core`) evaluate thousands of independent (trace, memory,
 connectivity) design points. This package makes that the fast path:
 
-* :mod:`repro.exec.engine` — :func:`simulate_many` /
-  :func:`estimate_many` batch evaluators with a process pool,
-  deterministic job-index result ordering, and a bit-identical serial
-  fallback (``workers=1`` / ``REPRO_WORKERS`` unset).
+* :mod:`repro.exec.engine` — the :func:`simulate_batch` /
+  :func:`estimate_many` batch evaluators: cache lookups, dedup,
+  memory-signature grouping, deterministic job-index result ordering,
+  and one backend dispatch per batch (serial for ``workers=1`` /
+  ``REPRO_WORKERS`` unset, the pool runtime otherwise).
 * :mod:`repro.exec.runtime` — the persistent
   :class:`ExecutionRuntime`: a long-lived worker pool reused across
   batches, with traces exported once per fingerprint to shared memory
-  so workers attach zero-copy instead of unpickling them
-  (``REPRO_PERSISTENT_RUNTIME=0`` opts out). Dispatch is fault
+  so workers attach zero-copy instead of unpickling them. Dispatch is fault
   tolerant: worker deaths and job timeouts (``REPRO_JOB_TIMEOUT``)
   rebuild the pool and re-dispatch only the unfinished jobs, and
   after ``REPRO_MAX_RETRIES`` rebuilds the batch degrades to the
   serial in-process path instead of failing. Pools are capped at the
   machine's CPU count (``REPRO_WORKERS_CAP=0`` opts out).
 * :mod:`repro.exec.backend` — the pluggable
-  :class:`ExecutionBackend` interface behind the engine:
+  :class:`ExecutionBackend` interface every engine batch goes through:
   :class:`SerialBackend`, :class:`PoolBackend` (the runtime),
   :class:`RemoteBackend` (one socket worker), and
   :class:`ShardedBackend` (N backends with fault-tolerant re-dispatch
@@ -27,7 +27,7 @@ connectivity) design points. This package makes that the fast path:
   ``REPRO_BACKEND`` / ``REPRO_WORKER_ADDRS``.
 * :mod:`repro.exec.net` / :mod:`repro.exec.worker` — the
   dependency-free length-prefixed socket protocol and the ``repro
-  worker`` server that serves simulate/estimate jobs and networked
+  worker`` server that serves simulation-group/estimate jobs and networked
   cache traffic over it.
 * :mod:`repro.exec.cache` — a content-addressed
   :class:`SimulationCache` keyed by trace fingerprint, architecture
@@ -67,20 +67,17 @@ from repro.exec.engine import (
     SimulationJob,
     estimate_many,
     simulate_batch,
-    simulate_many,
 )
 from repro.exec.net import BackendUnavailable, Connection
 from repro.exec.runtime import (
     JOB_TIMEOUT_ENV,
     MAX_RETRIES_ENV,
-    RUNTIME_ENV,
     WORKERS_ENV,
     DispatchStats,
     ExecutionRuntime,
     RuntimeStats,
     default_runtime,
     effective_pool_workers,
-    persistent_runtime_enabled,
     resolve_job_timeout,
     resolve_max_retries,
     resolve_workers,
@@ -105,7 +102,6 @@ __all__ = [
     "NULL_CACHE",
     "NullCache",
     "PoolBackend",
-    "RUNTIME_ENV",
     "RemoteBackend",
     "RuntimeStats",
     "SerialBackend",
@@ -119,7 +115,6 @@ __all__ = [
     "effective_pool_workers",
     "estimate_many",
     "key_digest",
-    "persistent_runtime_enabled",
     "resolve_backend",
     "resolve_job_timeout",
     "resolve_max_retries",
@@ -128,6 +123,5 @@ __all__ = [
     "set_default_cache",
     "set_default_runtime",
     "simulate_batch",
-    "simulate_many",
     "simulation_key",
 ]

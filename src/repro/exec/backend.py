@@ -2,19 +2,22 @@
 
 The engine (:mod:`repro.exec.engine`) owns *what* to run — cache
 lookups, dedup, memory-signature grouping, job-index-keyed merge. A
-backend owns *where*: the three ``run_*`` methods of
-:class:`ExecutionBackend` each take an ordered work list and return
-results in the same order, so every backend is interchangeable and a
-run is bit-identical whichever one dispatches it (the simulator is
-deterministic and results are keyed by index, never by completion
-order).
+backend owns *where*, and every engine batch goes through exactly one
+backend: the two ``run_*`` methods of :class:`ExecutionBackend`
+(whole same-signature groups, Phase-I estimates) each take an ordered
+work list and return results in the same order, so every backend is
+interchangeable and a run is bit-identical whichever one dispatches it
+(the simulator is deterministic and results are keyed by index, never
+by completion order).
 
 Implementations:
 
-* :class:`SerialBackend` — in-process loops; the reference semantics.
+* :class:`SerialBackend` — in-process loops; the reference semantics
+  and the engine's choice for ``workers=1``.
 * :class:`PoolBackend` — wraps the persistent
   :class:`~repro.exec.runtime.ExecutionRuntime` (one process pool,
-  shared-memory trace exports, fault-tolerant chunk dispatch).
+  shared-memory trace exports, fault-tolerant chunk dispatch); the
+  engine's choice for ``workers > 1``.
 * :class:`RemoteBackend` — one socket worker
   (:mod:`repro.exec.worker`) over the :mod:`repro.exec.net` frame
   protocol. The trace ships at most once per (worker, fingerprint);
@@ -31,8 +34,9 @@ Implementations:
 Selection: pass ``backend=`` to an engine entry point (an instance or
 one of the names ``"serial"``/``"pool"``/``"remote"``), or set
 ``REPRO_BACKEND`` — ``"remote"`` builds a :class:`ShardedBackend` of
-one :class:`RemoteBackend` per ``REPRO_WORKER_ADDRS`` address. Unset
-(the default) keeps the engine's classic dispatch paths untouched.
+one :class:`RemoteBackend` per ``REPRO_WORKER_ADDRS`` address. With
+neither, the engine picks :class:`SerialBackend` or
+:class:`PoolBackend` from the worker count.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from repro.exec.runtime import (
 )
 from repro.sim import batch as sim_batch
 from repro.sim.metrics import SimulationResult
-from repro.sim.simulator import simulate
 from repro.trace.events import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -75,7 +78,7 @@ GroupOutcome = "tuple[list[SimulationResult], int]"
 class ExecutionBackend:
     """Interface: run ordered work lists, return results in order.
 
-    Subclasses implement the three ``run_*`` methods and keep
+    Subclasses implement the two ``run_*`` methods and keep
     :attr:`last_dispatch` current; :attr:`bytes_sent` /
     :attr:`bytes_received` stay zero for local backends.
     """
@@ -93,12 +96,6 @@ class ExecutionBackend:
     @property
     def bytes_received(self) -> int:
         return 0
-
-    def run_simulations(
-        self, trace: Trace, jobs: "Sequence[SimulationJob]"
-    ) -> list[SimulationResult]:
-        """Simulate every job over ``trace``, ordered like ``jobs``."""
-        raise NotImplementedError
 
     def run_groups(
         self, trace: Trace, groups: "Sequence[Sequence[SimulationJob]]"
@@ -135,19 +132,6 @@ class SerialBackend(ExecutionBackend):
     """In-process loops — the reference every other backend must match."""
 
     name = "serial"
-
-    def run_simulations(self, trace, jobs):
-        self.last_dispatch = DispatchStats(jobs=len(jobs))
-        return [
-            simulate(
-                trace,
-                job.memory,
-                job.connectivity,
-                sampling=job.sampling,
-                posted_writes=job.posted_writes,
-            )
-            for job in jobs
-        ]
 
     def run_groups(self, trace, groups):
         self.last_dispatch = DispatchStats(
@@ -194,11 +178,6 @@ class PoolBackend(ExecutionBackend):
         results = call()
         self.last_dispatch = self._runtime.last_dispatch
         return results
-
-    def run_simulations(self, trace, jobs):
-        return self._delegate(
-            lambda: self._runtime.map_simulations(trace, jobs)
-        )
 
     def run_groups(self, trace, groups):
         return self._delegate(
@@ -338,14 +317,6 @@ class RemoteBackend(ExecutionBackend):
             self.ensure_trace(trace)
             return self._run_remote(kind, request, jobs)
 
-    def run_simulations(self, trace, jobs):
-        return self._run_traced(
-            trace,
-            net.MSG_SIM_JOBS,
-            {"fingerprint": trace.fingerprint(), "jobs": list(jobs)},
-            len(jobs),
-        )
-
     def run_groups(self, trace, groups):
         return self._run_traced(
             trace,
@@ -421,7 +392,7 @@ class ShardedBackend(ExecutionBackend):
         run_fallback: Callable[[list], list],
         jobs: int,
     ) -> list:
-        """The sharding core shared by all three ``run_*`` methods.
+        """The sharding core shared by both ``run_*`` methods.
 
         ``run(backend, subset)`` executes a shard's item subset;
         ``run_fallback(subset)`` is the local degraded path. Mirrors
@@ -491,14 +462,6 @@ class ShardedBackend(ExecutionBackend):
         self.last_dispatch = stats
         return results
 
-    def run_simulations(self, trace, jobs):
-        return self._run_sharded(
-            list(jobs),
-            lambda backend, subset: backend.run_simulations(trace, subset),
-            lambda subset: self.fallback.run_simulations(trace, subset),
-            len(jobs),
-        )
-
     def run_groups(self, trace, groups):
         return self._run_sharded(
             [tuple(group) for group in groups],
@@ -531,13 +494,13 @@ def resolve_backend(
     backend: "ExecutionBackend | str | None" = None,
     workers: int | None = None,
 ) -> ExecutionBackend | None:
-    """Turn a backend spec into an instance, or ``None`` for the classic paths.
+    """Turn a backend spec into an instance, or ``None`` when none is set.
 
-    ``None`` consults ``Settings.backend`` (``REPRO_BACKEND``); the
-    empty default keeps the engine's pre-backend dispatch exactly as
-    it was. ``"remote"`` shards across one :class:`RemoteBackend` per
-    ``REPRO_WORKER_ADDRS`` address, with the runtime's retry budget
-    and a serial local fallback.
+    ``None`` consults ``Settings.backend`` (``REPRO_BACKEND``); when
+    that is empty too, the result is ``None`` and the engine picks
+    serial or pool from the worker count. ``"remote"`` shards across
+    one :class:`RemoteBackend` per ``REPRO_WORKER_ADDRS`` address, with
+    the runtime's retry budget and a serial local fallback.
     """
     if backend is None:
         spec = current_settings().backend

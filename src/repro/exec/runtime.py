@@ -1,17 +1,19 @@
 """Persistent execution runtime: one pool, one trace export, many batches.
 
-The engine's original dispatch built a fresh ``ProcessPoolExecutor``
-per ``simulate_many`` batch and shipped the trace to every worker via
-the pool initializer — megabytes of pickling (under spawn) and full
-process start-up paid on *every* batch. An exploration session issues
-many batches (APEX evaluation, ConEx Phase II per memory architecture,
-neighborhood expansion, sweeps), so per-batch setup dominates once the
-simulations themselves are fast.
+A fresh ``ProcessPoolExecutor`` per batch, with the trace shipped to
+every worker through the pool initializer, pays megabytes of pickling
+(under spawn) and full process start-up on *every* batch. An
+exploration session issues many batches (APEX evaluation, ConEx
+Phase II per memory architecture, neighborhood expansion, sweeps), so
+per-batch setup would dominate once the simulations themselves are
+fast.
 
-:class:`ExecutionRuntime` amortizes all of it:
+:class:`ExecutionRuntime` amortizes all of it. It is the only place a
+process pool is built; the engine reaches it through
+:class:`repro.exec.backend.PoolBackend`.
 
 * the worker pool is created once (lazily, on first parallel dispatch)
-  and reused by every subsequent ``simulate_many`` / ``estimate_many``
+  and reused by every subsequent ``simulate_batch`` / ``estimate_many``
   call routed through the runtime;
 * each distinct trace is exported once per (runtime, fingerprint) to
   shared memory (:meth:`repro.trace.events.Trace.export_shared`);
@@ -46,10 +48,6 @@ construction sweeps blocks leaked by dead processes.
 export, bit-identical results — the determinism contract of
 :mod:`repro.exec.engine` is unchanged because results stay keyed by
 job index and the simulator is deterministic.
-
-Opt-outs: ``REPRO_PERSISTENT_RUNTIME=0`` makes the engine fall back to
-the legacy per-batch pool construction (the pre-runtime behaviour);
-an explicitly passed runtime is always honoured.
 """
 
 from __future__ import annotations
@@ -71,7 +69,6 @@ from repro.config import (
     FAULT_INJECT_ENV,
     JOB_TIMEOUT_ENV,
     MAX_RETRIES_ENV,
-    RUNTIME_ENV,
     WORKERS_ENV,
     current_settings,
 )
@@ -79,7 +76,6 @@ from repro.errors import ExecutionError, ExplorationError
 from repro.obs.registry import ObsSnapshot
 from repro.sim import batch
 from repro.sim.metrics import SimulationResult
-from repro.sim.simulator import simulate
 from repro.stats import StatsReport
 from repro.trace import shm as shm_registry
 from repro.trace.events import SharedTraceExport, SharedTraceHandle, Trace
@@ -91,7 +87,6 @@ __all__ = [
     "FAULT_INJECT_ENV",
     "JOB_TIMEOUT_ENV",
     "MAX_RETRIES_ENV",
-    "RUNTIME_ENV",
     "WORKERS_ENV",
     "DEFAULT_MAX_RETRIES",
     "DispatchStats",
@@ -100,7 +95,6 @@ __all__ = [
     "default_runtime",
     "dispatch_chunksize",
     "effective_pool_workers",
-    "persistent_runtime_enabled",
     "resolve_job_timeout",
     "resolve_max_retries",
     "resolve_workers",
@@ -180,11 +174,6 @@ def resolve_max_retries(retries: int | None = None) -> int:
     return retries
 
 
-def persistent_runtime_enabled() -> bool:
-    """Is the persistent runtime the default parallel dispatch path?"""
-    return current_settings().persistent_runtime
-
-
 def dispatch_chunksize(pending: int, workers: int) -> int:
     """Dispatch granularity: ~4 chunks per worker amortizes the IPC."""
     return max(1, -(-pending // (workers * 4)))
@@ -192,7 +181,8 @@ def dispatch_chunksize(pending: int, workers: int) -> int:
 
 @dataclass
 class DispatchStats(StatsReport):
-    """Fault accounting for one ``map_simulations``/``map_estimates`` call.
+    """Fault accounting for one ``map_simulation_groups``/``map_estimates``
+    call.
 
     Attributes:
         jobs: jobs the call was asked to run.
@@ -293,20 +283,6 @@ def _maybe_inject_fault(spec: str) -> None:
     time.sleep(600.0)  # "hang": park until the timeout reaper kills us
 
 
-def _run_shared_simulation(
-    item: "tuple[SharedTraceHandle, SimulationJob]",
-) -> SimulationResult:
-    handle, job = item
-    trace = _attached_trace(handle)
-    return simulate(
-        trace,
-        job.memory,
-        job.connectivity,
-        sampling=job.sampling,
-        posted_writes=job.posted_writes,
-    )
-
-
 def _chunk_observation(collect: bool) -> ObsSnapshot | None:
     """Worker-side setup for one chunk's obs collection.
 
@@ -322,21 +298,6 @@ def _chunk_observation(collect: bool) -> ObsSnapshot | None:
         obs.enable()
     obs.reset_span_stack()
     return obs.snapshot()
-
-
-def _run_simulation_chunk(
-    items: "Sequence[tuple[SharedTraceHandle, SimulationJob]]",
-    collect: bool = False,
-) -> "tuple[list[SimulationResult], ObsSnapshot | None]":
-    fault_spec = current_settings().fault_inject
-    baseline = _chunk_observation(collect)
-    results = []
-    for item in items:
-        if fault_spec:
-            _maybe_inject_fault(fault_spec)
-        results.append(_run_shared_simulation(item))
-    delta = obs.snapshot().subtract(baseline) if collect else None
-    return results, delta
 
 
 def _run_shared_group(
@@ -403,7 +364,7 @@ class ExecutionRuntime:
 
     Construct one per exploration session (the CLI does this per
     command) or rely on :func:`default_runtime`. Thread it through
-    ``simulate_many(..., runtime=...)`` / driver ``runtime=``
+    ``simulate_batch(..., runtime=...)`` / driver ``runtime=``
     parameters; every batch then reuses the same pool and the same
     shared trace blocks.
 
@@ -630,53 +591,15 @@ class ExecutionRuntime:
         self.stats.absorb(stats)
         if collect:
             # retries / pool_rebuilds / degraded travel on the engine
-            # report and are counted there (covering the serial and
-            # legacy-pool paths too); only dispatch-local facts the
-            # report does not carry are recorded here.
+            # report and are counted there (for every backend); only
+            # dispatch-local facts the report does not carry are
+            # recorded here.
             obs.incr("runtime.dispatches")
             obs.incr("runtime.jobs", stats.jobs)
             obs.incr("runtime.timeouts", stats.timeouts)
         return results
 
     # -- batch entry points --------------------------------------------
-
-    def map_simulations(
-        self, trace: Trace, jobs: "Sequence[SimulationJob]"
-    ) -> list[SimulationResult]:
-        """Run every job over ``trace``; results ordered like ``jobs``."""
-        self._ensure_open()
-        if not jobs:
-            self.last_dispatch = DispatchStats()
-            return []
-        if self.workers <= 1:
-            self.last_dispatch = DispatchStats(jobs=len(jobs))
-            return [
-                simulate(
-                    trace,
-                    job.memory,
-                    job.connectivity,
-                    sampling=job.sampling,
-                    posted_writes=job.posted_writes,
-                )
-                for job in jobs
-            ]
-        handle = self.share_trace(trace)
-
-        def inline(item: "tuple[SharedTraceHandle, SimulationJob]"):
-            _, job = item
-            return simulate(
-                trace,
-                job.memory,
-                job.connectivity,
-                sampling=job.sampling,
-                posted_writes=job.posted_writes,
-            )
-
-        return self._dispatch(
-            _run_simulation_chunk,
-            [(handle, job) for job in jobs],
-            inline,
-        )
 
     def map_simulation_groups(
         self,

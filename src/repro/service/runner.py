@@ -186,7 +186,7 @@ def _run_spec(
         trace,
         registry.memory_library(spec.library),
         ApexConfig(select_count=spec.select),
-        hints=workload.pattern_hints,
+        hints=workload.hints_for(trace),
         workers=spec.workers,
         cache=cache,
         runtime=runtime,

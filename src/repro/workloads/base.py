@@ -139,6 +139,22 @@ class Workload(ABC):
     def pattern_hints(self) -> Mapping[str, AccessPattern]:
         """Per-structure access-pattern hints (APEX source knowledge)."""
 
+    def hints_for(self, trace: Trace) -> dict[str, AccessPattern]:
+        """:attr:`pattern_hints` restricted to the structures in ``trace``.
+
+        At small scales a workload may never touch a structure it
+        declares a hint for (compress at scale 0.02 emits no
+        ``globals`` access for some seeds), and
+        :func:`repro.trace.patterns.profile_patterns` rejects hints
+        for absent structures.
+        """
+        present = set(trace.structs)
+        return {
+            struct: pattern
+            for struct, pattern in self.pattern_hints.items()
+            if struct in present
+        }
+
     @abstractmethod
     def run(self, builder: TraceBuilder) -> None:
         """Execute the workload, recording accesses into ``builder``."""

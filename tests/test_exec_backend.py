@@ -23,7 +23,6 @@ from repro.exec import (
     SimulationJob,
     resolve_backend,
     simulate_batch,
-    simulate_many,
 )
 from repro.exec.net import BackendUnavailable
 from repro.exec.runtime import _CAP_WARNED, effective_pool_workers
@@ -56,7 +55,7 @@ def _estimate_jobs(tiny_trace, mem_library, conn_library) -> list[EstimateJob]:
     for i, preset in enumerate(_PRESETS):
         memory = _arch(mem_library, preset, f"e{i}")
         connectivity = simple_connectivity(memory, tiny_trace, conn_library)
-        profile = simulate_many(
+        profile = simulate_batch(
             tiny_trace, [SimulationJob(memory=memory)], cache=NullCache()
         ).results[0]
         jobs.append(
@@ -81,10 +80,6 @@ class FlakyBackend(SerialBackend):
         if self.calls <= self.failures:
             raise BackendUnavailable("injected shard death")
 
-    def run_simulations(self, trace, jobs):
-        self._maybe_fail()
-        return super().run_simulations(trace, jobs)
-
     def run_groups(self, trace, groups):
         self._maybe_fail()
         return super().run_groups(trace, groups)
@@ -97,10 +92,10 @@ class FlakyBackend(SerialBackend):
 class TestBackendEquivalence:
     def test_serial_backend_matches_engine(self, tiny_trace, mem_library):
         jobs = _jobs(mem_library)
-        reference = simulate_many(
+        reference = simulate_batch(
             tiny_trace, jobs, workers=1, cache=NullCache()
         )
-        report = simulate_many(
+        report = simulate_batch(
             tiny_trace, jobs, cache=NullCache(), backend=SerialBackend()
         )
         assert report.results == reference.results
@@ -292,7 +287,7 @@ class TestWorkerCap:
     ):
         """The cap sizes the pool, not the report's worker accounting."""
         monkeypatch.delenv(WORKERS_CAP_ENV, raising=False)
-        report = simulate_many(
+        report = simulate_batch(
             tiny_trace, _jobs(mem_library), workers=4, cache=NullCache()
         )
         assert report.workers == 4

@@ -21,7 +21,6 @@ from repro.exec import (
     SimulationCache,
     SimulationJob,
     simulate_batch,
-    simulate_many,
 )
 from repro.exec import net
 from repro.exec.cache import (
@@ -112,9 +111,10 @@ class TestWireProtocol:
 class TestRemoteBackend:
     def test_simulations_match_serial(self, worker, tiny_trace, mem_library):
         jobs = _jobs(mem_library)
-        serial = SerialBackend().run_simulations(tiny_trace, jobs)
+        groups = [[job] for job in jobs]
+        serial = SerialBackend().run_groups(tiny_trace, groups)
         with RemoteBackend(worker.address) as backend:
-            remote = backend.run_simulations(tiny_trace, jobs)
+            remote = backend.run_groups(tiny_trace, groups)
             assert remote == serial
             assert backend.bytes_sent > 0
             assert backend.bytes_received > 0
@@ -131,7 +131,7 @@ class TestRemoteBackend:
     ):
         memory = _arch(mem_library, "cache_8k_32b_2w", "e0")
         connectivity = simple_connectivity(memory, tiny_trace, conn_library)
-        profile = simulate_many(
+        profile = simulate_batch(
             tiny_trace, [SimulationJob(memory=memory)], cache=NullCache()
         ).results[0]
         jobs = [
@@ -149,10 +149,10 @@ class TestRemoteBackend:
         jobs = _jobs(mem_library)
         trace_bytes = len(net.encode_trace(tiny_trace))
         with RemoteBackend(worker.address) as backend:
-            backend.run_simulations(tiny_trace, jobs)
+            backend.run_groups(tiny_trace, [jobs])
             after_first = backend.bytes_sent
             assert after_first > trace_bytes  # push happened
-            backend.run_simulations(tiny_trace, jobs)
+            backend.run_groups(tiny_trace, [jobs])
             second_run = backend.bytes_sent - after_first
             # The second dispatch references the fingerprint alone: no
             # re-push, not even a TRACE_QUERY round trip.
@@ -177,7 +177,7 @@ class TestRemoteBackend:
         bad = SimulationJob(memory=None)  # simulate() will blow up remotely
         with RemoteBackend(worker.address) as backend:
             with pytest.raises(ExecutionError, match="remote worker error"):
-                backend.run_simulations(tiny_trace, [bad])
+                backend.run_groups(tiny_trace, [[bad]])
             # The worker survived the failed request.
             assert backend.ping()
 
@@ -280,10 +280,10 @@ class TestNetworkedCache:
     ):
         jobs = _jobs(mem_library)
         publisher = SimulationCache(url=worker.address)
-        baseline = simulate_many(tiny_trace, jobs, cache=publisher)
+        baseline = simulate_batch(tiny_trace, jobs, cache=publisher)
         publisher.close()
         subscriber = SimulationCache(url=worker.address)
-        report = simulate_many(tiny_trace, jobs, cache=subscriber)
+        report = simulate_batch(tiny_trace, jobs, cache=subscriber)
         subscriber.close()
         assert report.results == baseline.results
         assert subscriber.net_hits == len(jobs)
@@ -296,10 +296,10 @@ class TestNetworkedCache:
         dead = WorkerServer()
         dead.stop()
         jobs = _jobs(mem_library)
-        reference = simulate_many(tiny_trace, jobs, cache=NullCache())
+        reference = simulate_batch(tiny_trace, jobs, cache=NullCache())
         cache = SimulationCache(url=dead.address)
         cache._client.timeout = 0.5
-        report = simulate_many(tiny_trace, jobs, cache=cache)
+        report = simulate_batch(tiny_trace, jobs, cache=cache)
         cache.close()
         assert report.results == reference.results
         assert cache.net_hits == 0

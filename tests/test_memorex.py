@@ -106,3 +106,17 @@ class TestSummaries:
 
         with pytest.raises(ExplorationError):
             summarize(result.conex.estimated[0])
+
+
+class TestSmallScaleHints:
+    @pytest.mark.parametrize("seed", [28, 38, 46])
+    def test_compress_runs_where_a_hinted_structure_is_absent(self, seed):
+        """At scale 0.02 these seeds emit no ``globals`` access; the
+        pipeline must drop that hint instead of failing on it."""
+        workload = get_workload("compress", scale=0.02, seed=seed)
+        trace = workload.trace()
+        assert "globals" in workload.pattern_hints
+        assert "globals" not in trace.structs
+        assert "globals" not in workload.hints_for(trace)
+        result = run_memorex(workload, config=CONFIG)
+        assert result.selected_points

@@ -181,18 +181,19 @@ class TestEntryPoints:
             w for w in recwarn if w.category is DeprecationWarning
         ]
 
-    def test_run_memorex_objects_deprecated_but_working(self):
+    def test_run_memorex_rejects_library_objects(self):
         workload = get_workload("synthetic", scale=0.05)
-        with pytest.warns(DeprecationWarning, match="register_memory_library"):
-            legacy = run_memorex(
+        with pytest.raises(
+            ConfigurationError, match="register_memory_library"
+        ):
+            run_memorex(workload, memory_library=default_memory_library())
+        with pytest.raises(
+            ConfigurationError, match="register_connectivity_library"
+        ):
+            run_memorex(
                 workload,
-                memory_library=default_memory_library(),
                 connectivity_library=default_connectivity_library(),
             )
-        modern = run_memorex(workload, library="default")
-        assert [p.simulation for p in legacy.selected_points] == [
-            p.simulation for p in modern.selected_points
-        ]
 
     def test_job_spec_library_field(self):
         spec = parse_job_spec(

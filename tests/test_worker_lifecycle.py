@@ -165,7 +165,7 @@ class TestWorkerDrain:
         results: list = []
 
         def run() -> None:
-            results.append(backend.run_simulations(tiny_trace, jobs))
+            results.append(backend.run_groups(tiny_trace, [jobs]))
 
         thread = threading.Thread(target=run)
         thread.start()
@@ -174,7 +174,7 @@ class TestWorkerDrain:
         thread.join(timeout=10.0)
         backend.close()
         # The in-flight batch completed its reply during the drain.
-        assert len(results) == 1 and len(results[0]) == 4
+        assert len(results) == 1 and len(results[0][0][0]) == 4
 
     def test_threads_are_reaped_not_accumulated(self):
         server = WorkerServer()
@@ -226,12 +226,12 @@ class TestWorkerDrain:
         ]
         try:
             with RemoteBackend(server.address) as backend:
-                first = backend.run_simulations(tiny_trace, jobs)
+                first = backend.run_groups(tiny_trace, [jobs])
                 # Simulate store pressure: the worker forgets the trace.
                 server._traces = ByteLRU(server._traces.max_bytes)
                 counters = obs.snapshot().counters
                 before = counters.get("backend.trace_repushes", 0)
-                second = backend.run_simulations(tiny_trace, jobs)
+                second = backend.run_groups(tiny_trace, [jobs])
                 assert second == first
                 if obs.enabled():
                     after = obs.snapshot().counters["backend.trace_repushes"]

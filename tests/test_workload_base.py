@@ -116,3 +116,16 @@ class TestRegistry:
     def test_bad_scale_rejected(self):
         with pytest.raises(ConfigurationError):
             get_workload("vocoder", scale=0.0)
+
+
+class TestHintsFor:
+    def test_keeps_hints_for_structures_in_the_trace(self):
+        workload = get_workload("compress", scale=0.05, seed=1)
+        trace = workload.trace()
+        assert workload.hints_for(trace) == dict(workload.pattern_hints)
+
+    def test_drops_hints_for_absent_structures(self):
+        workload = get_workload("compress", scale=0.02, seed=28)
+        hints = workload.hints_for(workload.trace())
+        assert "globals" not in hints
+        assert set(hints) == set(workload.pattern_hints) - {"globals"}
