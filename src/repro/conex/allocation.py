@@ -21,6 +21,7 @@ constraint" guard on the number of logical connections.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -129,6 +130,21 @@ class AssignmentPlan:
         """The architecture name candidate ``index`` will carry."""
         return f"{self.name_prefix}_L{self.level.size}_{index}"
 
+    @cached_property
+    def _cluster_keys(self) -> tuple[tuple[str, ...], ...]:
+        """Each cluster's sorted channel names (fixed for the plan)."""
+        return tuple(
+            tuple(sorted(channel.name for channel in cluster.channels))
+            for cluster in self.level.clusters
+        )
+
+    @cached_property
+    def _preset_names(self) -> tuple[tuple[str, ...], ...]:
+        """Each cluster's preset pool, by name."""
+        return tuple(
+            tuple(preset.name for preset in pool) for pool in self.presets
+        )
+
     def preset_signature(self, index: int) -> tuple:
         """Structural signature of candidate ``index``.
 
@@ -137,14 +153,13 @@ class AssignmentPlan:
         of the materialized candidate, so dedup can run before any
         component is built.
         """
-        row = self.choices[index]
+        row = self.choices[index].tolist()
         return tuple(
             sorted(
-                (
-                    tuple(sorted(channel.name for channel in cluster.channels)),
-                    self.presets[position][row[position]].name,
+                (key, names[choice])
+                for key, names, choice in zip(
+                    self._cluster_keys, self._preset_names, row
                 )
-                for position, cluster in enumerate(self.level.clusters)
             )
         )
 

@@ -46,6 +46,7 @@ from repro.sim.sampling import SamplingConfig
 from repro.stats import BatchStats, StatsReport
 from repro.trace.events import Trace
 from repro.util.pareto import pareto_front
+from repro.util.stats import kendall_tau_b
 
 
 @dataclass(frozen=True)
@@ -278,10 +279,9 @@ def _thin_by_latency(
     ordered = sorted(front, key=lambda p: p.estimate.avg_latency)
     if len(ordered) <= count:
         return list(ordered)
-    if count <= 1:
+    if count == 1:
         # A single carry slot: keep the lowest-latency front point
-        # (count < 1 cannot reach here — ordered is non-empty, so
-        # len(ordered) <= 0 never passes the guard above).
+        # (explore_connectivity rejects count < 1 up front).
         return [ordered[0]]
     picks = {0, len(ordered) - 1}
     step = (len(ordered) - 1) / (count - 1)
@@ -315,6 +315,10 @@ def explore_connectivity(
     config = config or ConExConfig()
     if not selected_memories:
         raise ExplorationError("ConEx needs at least one memory architecture")
+    if config.phase1_keep < 1:
+        raise ExplorationError(
+            f"phase1_keep must be >= 1: {config.phase1_keep}"
+        )
 
     phase1_start = time.perf_counter()
     estimated: list[ConnectivityDesignPoint] = []
@@ -368,6 +372,13 @@ def explore_connectivity(
         obs.incr("conex.estimated", len(estimated))
         obs.incr("conex.carried", len(carried))
         obs.incr("conex.pareto_survivors", len(selected))
+        if len(simulated) >= 2:
+            tau = kendall_tau_b(
+                [p.estimate.avg_latency for p in simulated],
+                [p.simulation.avg_latency for p in simulated],
+            )
+            if tau is not None:
+                obs.gauge("conex.rank_tau", tau)
     return ConExResult(
         trace_name=trace.name,
         estimated=tuple(estimated),

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import le, ne
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from repro import obs
 from repro.errors import ExplorationError
 
 T = TypeVar("T")
@@ -52,16 +54,47 @@ def pareto_indices(points: Sequence[Vector]) -> list[int]:
 
     Duplicate coordinates are all retained (none of two equal points
     dominates the other), mirroring the paper's plots where distinct
-    architectures may share a cost/latency pair.
+    architectures may share a cost/latency pair. A vector holding NaN
+    is never dominated and never dominates. Values are compared with
+    Python's own operators, so int/float mixes stay exact.
+
+    Sort-and-sweep (Kung, Luccio and Preparata, JACM 1975): in
+    lexicographic order only an earlier point can dominate a later one,
+    so each point is tested against the running front of the points
+    before it. The front member that last dominated a point is moved to
+    the head of the front; on exploration fronts it usually dominates
+    the next point too.
     """
-    indices: list[int] = []
-    for i, p in enumerate(points):
-        dominated = any(
-            dominates(q, p) for j, q in enumerate(points) if j != i
+    vectors = [tuple(point) for point in points]
+    if len(vectors) < 2:
+        return list(range(len(vectors)))
+    dims = {len(vector) for vector in vectors}
+    if len(dims) > 1:
+        raise ExplorationError(
+            f"dimension mismatch in pareto query: lengths {sorted(dims)}"
         )
-        if not dominated:
-            indices.append(i)
-    return indices
+    kept: list[int] = []
+    ordered: list[int] = []
+    for index, vector in enumerate(vectors):
+        # x != x only for NaN: such a vector never takes part in dominance.
+        if any(map(ne, vector, vector)):
+            kept.append(index)
+        else:
+            ordered.append(index)
+    ordered.sort(key=vectors.__getitem__)
+    front: list[tuple] = []
+    for index in ordered:
+        point = vectors[index]
+        for position, member in enumerate(front):
+            if member != point and all(map(le, member, point)):
+                if position:
+                    front.insert(0, front.pop(position))
+                break
+        else:
+            front.append(point)
+            kept.append(index)
+    kept.sort()
+    return kept
 
 
 def pareto_front(
@@ -73,9 +106,14 @@ def pareto_front(
     The result preserves input order, so deterministic exploration runs
     yield deterministic fronts.
     """
-    materialized = list(items)
-    vectors = [tuple(key(item)) for item in materialized]
-    return [materialized[i] for i in pareto_indices(vectors)]
+    with obs.span("util.pareto"):
+        materialized = list(items)
+        vectors = [tuple(key(item)) for item in materialized]
+        front = [materialized[i] for i in pareto_indices(vectors)]
+    if obs.enabled():
+        obs.incr("pareto.points_in", len(vectors))
+        obs.incr("pareto.front_size", len(front))
+    return front
 
 
 def is_pareto_point(point: Vector, points: Sequence[Vector]) -> bool:

@@ -1,14 +1,17 @@
-"""Streaming statistics accumulator.
+"""Streaming statistics accumulator and rank agreement.
 
 The simulator accumulates per-access latency and energy over traces that
 can be millions of events long; :class:`RunningStats` keeps count, mean,
 and variance in O(1) memory using Welford's algorithm.
+:func:`kendall_tau_b` measures how well one ranking (ConEx's Phase-I
+estimates) agrees with another (its Phase-II simulations).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 
 @dataclass
@@ -79,3 +82,33 @@ class RunningStats:
             min(self.minimum, other.minimum),
             max(self.maximum, other.maximum),
         )
+
+
+def kendall_tau_b(xs: Sequence[float], ys: Sequence[float]) -> float | None:
+    """Kendall's tau-b rank correlation of the paired samples ``xs``, ``ys``.
+
+    ``(concordant - discordant) / sqrt((n0 - n1) * (n0 - n2))``, where
+    ``n0`` counts all pairs and ``n1``/``n2`` the pairs tied in ``xs``
+    and in ``ys`` (a pair tied in both counts in both). Returns None
+    when the coefficient is undefined: fewer than two samples, or
+    either sample constant. Pure Python over all pairs, sized for the
+    tens of designs ConEx carries into Phase II.
+    """
+    if len(xs) != len(ys):
+        raise ValueError(
+            f"kendall_tau_b needs paired samples: {len(xs)} vs {len(ys)}"
+        )
+    n = len(xs)
+    score = tied_x = tied_y = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = (xs[i] > xs[j]) - (xs[i] < xs[j])
+            dy = (ys[i] > ys[j]) - (ys[i] < ys[j])
+            score += dx * dy
+            tied_x += not dx
+            tied_y += not dy
+    pairs = n * (n - 1) // 2
+    denominator = (pairs - tied_x) * (pairs - tied_y)
+    if not denominator:
+        return None
+    return score / math.sqrt(denominator)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.apex.architectures import MemoryArchitecture
 from repro.channels import Channel
@@ -14,6 +15,10 @@ from repro.connectivity.library import default_connectivity_library
 from repro.memory.library import default_memory_library
 from repro.trace.events import TraceBuilder
 from repro.workloads import get_workload
+
+# ``--hypothesis-profile=deep``: the long differential runs (e.g. the
+# pareto filter against its all-pairs oracle in CI).
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -53,6 +53,11 @@ class TestApexCommand:
 
 
 class TestExploreCommand:
+    def test_keep_zero_fails_naming_phase1_keep(self, capsys):
+        code = main(["explore", "vocoder", "--scale", "0.05", "--keep", "0"])
+        assert code != 0
+        assert "phase1_keep" in capsys.readouterr().err
+
     def test_full_report_and_exports(self, tmp_path, capsys):
         csv_path = tmp_path / "out.csv"
         json_path = tmp_path / "out.json"

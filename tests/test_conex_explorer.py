@@ -109,6 +109,33 @@ class TestConExResult:
         with pytest.raises(ExplorationError):
             explore_connectivity(trace, [], conn_library_module)
 
+    def test_rank_tau_gauge(self, exploration, conn_library_module):
+        """With obs on, the Phase-I/Phase-II rank agreement of the
+        carried designs' latencies is published as ``conex.rank_tau``."""
+        from repro import obs
+        from repro.util.stats import kendall_tau_b
+
+        trace, apex, _ = exploration
+        was_enabled = obs.enabled()
+        obs.reset()
+        obs.enable()
+        try:
+            conex = explore_connectivity(
+                trace, apex.selected, conn_library_module, CONEX_CONFIG
+            )
+            gauges = obs.snapshot().gauges
+        finally:
+            if not was_enabled:
+                obs.disable()
+            obs.reset()
+        expected = kendall_tau_b(
+            [p.estimate.avg_latency for p in conex.simulated],
+            [p.simulation.avg_latency for p in conex.simulated],
+        )
+        assert len(conex.simulated) >= 2
+        assert gauges["conex.rank_tau"] == expected
+        assert -1.0 <= expected <= 1.0
+
     def test_phase1_keep_one(self, exploration, conn_library_module):
         """Regression: a single carry slot used to divide by zero in
         the latency-axis thinning."""

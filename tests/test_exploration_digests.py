@@ -54,6 +54,7 @@ class ExplorationCase:
     carried: int
 
 
+#: li is not pinned: its reference-simulator run alone takes ~27 s.
 CASES = (
     ExplorationCase(
         workload="vocoder",
@@ -80,6 +81,33 @@ CASES = (
         digest="868bcaf3f7c369f4da74bd2496793d25"
         "e6911b2b56def773d013be85b2a29d1b",
         estimated=1214,
+        carried=10,
+    ),
+    ExplorationCase(
+        workload="dct",
+        scale=0.05,
+        seed=1,
+        digest="9616885c22aef0ac8b63c2fc41f82113"
+        "e39843a6a6593de3923ce4416199c627",
+        estimated=1392,
+        carried=10,
+    ),
+    ExplorationCase(
+        workload="matmul",
+        scale=0.05,
+        seed=1,
+        digest="46960bdf507d8637e9cddc5d0f392ade"
+        "1ccf375ad49403f6bea17f62c266f9d7",
+        estimated=416,
+        carried=10,
+    ),
+    ExplorationCase(
+        workload="synthetic",
+        scale=0.05,
+        seed=1,
+        digest="ee19053e0577fc001628c3e3721ff9a1"
+        "cf0834eb9f447f5d47a3db0a2e604beb",
+        estimated=1334,
         carried=10,
     ),
 )

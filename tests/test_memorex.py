@@ -1,5 +1,7 @@
 """End-to-end integration tests for the MemorEx pipeline."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import run_memorex
@@ -7,6 +9,7 @@ from repro.apex.explorer import ApexConfig
 from repro.conex.explorer import ConExConfig
 from repro.core.design_point import summarize
 from repro.core.memorex import MemorExConfig
+from repro.errors import ExplorationError
 from repro.workloads import get_workload
 
 CONFIG = MemorExConfig(
@@ -120,3 +123,14 @@ class TestSmallScaleHints:
         assert "globals" not in workload.hints_for(trace)
         result = run_memorex(workload, config=CONFIG)
         assert result.selected_points
+
+
+class TestPhase1Keep:
+    @pytest.mark.parametrize("keep", [0, -1])
+    def test_keep_below_one_is_rejected(self, keep):
+        """Regression: ``phase1_keep < 1`` used to carry one design per
+        memory architecture instead of failing."""
+        config = replace(CONFIG, conex=replace(CONFIG.conex, phase1_keep=keep))
+        workload = get_workload("vocoder", scale=0.05, seed=1)
+        with pytest.raises(ExplorationError, match="phase1_keep"):
+            run_memorex(workload, config=config)

@@ -1,7 +1,18 @@
-"""Unit tests for pareto-front mathematics."""
+"""Unit tests for pareto-front mathematics.
+
+``pareto_indices`` is a sort-and-sweep filter; the differential suite
+below checks it against the all-pairs definition (``_oracle_indices``),
+which is kept here only as the test oracle.
+"""
+
+import math
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.errors import ExplorationError
 from repro.util.pareto import (
     average_axis_distance,
@@ -139,3 +150,116 @@ class TestAverageAxisDistance:
         distances = average_axis_distance([(0.0, 10.0)], [(0.5, 10.0)])
         assert distances[0] == pytest.approx(50.0)
         assert distances[1] == 0.0
+
+
+def _oracle_indices(points):
+    """The O(n^2) definition: no other point of ``points`` dominates."""
+    return [
+        i
+        for i, p in enumerate(points)
+        if not any(dominates(q, p) for j, q in enumerate(points) if j != i)
+    ]
+
+
+#: A small alphabet so ties and duplicates are common: ints and floats
+#: that compare equal (1 and 1.0), a pair that only exact comparison
+#: tells apart (2**53 + 1 > float(2**53)), both infinities and NaN.
+VALUES = st.sampled_from([
+    0, 1, 2, 3, 1.0, 1.5, 2.0, -0.0, 2**53 + 1, float(2**53),
+    math.inf, -math.inf, math.nan,
+])
+
+
+@st.composite
+def point_sets(draw):
+    dims = draw(st.integers(min_value=1, max_value=4))
+    vector = st.tuples(*[VALUES] * dims)
+    return draw(st.lists(vector, max_size=40))
+
+
+class TestSortAndSweepMatchesOracle:
+    @given(point_sets())
+    def test_indices_equal_oracle(self, points):
+        assert pareto_indices(points) == _oracle_indices(points)
+
+    @given(point_sets())
+    def test_duplicated_inputs_keep_every_copy(self, points):
+        doubled = points + points
+        assert pareto_indices(doubled) == _oracle_indices(doubled)
+
+    @given(
+        st.lists(
+            st.lists(VALUES, min_size=1, max_size=4).map(tuple),
+            min_size=2, max_size=12,
+        ).filter(lambda pts: len({len(p) for p in pts}) > 1)
+    )
+    def test_mismatched_lengths_raise(self, points):
+        with pytest.raises(ExplorationError):
+            _oracle_indices(points)
+        with pytest.raises(ExplorationError):
+            pareto_indices(points)
+
+    def test_empty_and_single_point(self):
+        assert pareto_indices([]) == []
+        assert pareto_indices([(math.nan, 1)]) == [0]
+        assert pareto_indices([()]) == [0]
+
+    def test_nan_never_dominates_nor_is_dominated(self):
+        points = [(math.nan, 9.0), (1.0, 1.0), (0.0, math.nan), (2.0, 2.0)]
+        assert pareto_indices(points) == [0, 1, 2]
+
+    def test_nan_cannot_disorder_the_sort(self):
+        # NaN compares false both ways; left in the sort it would keep
+        # (2, 2) ahead of its dominator (1, 1).
+        points = [(2, 2), (math.nan, 0), (1, 1)]
+        assert pareto_indices(points) == [1, 2]
+
+    def test_infinities(self):
+        points = [(math.inf, 0), (-math.inf, math.inf), (1, 1), (math.inf, 1)]
+        assert pareto_indices(points) == _oracle_indices(points) == [0, 1, 2]
+
+    def test_int_float_mix_is_exact(self):
+        # NumPy would round 2**53 + 1 to 2.0**53 and call the two equal.
+        points = [(2**53 + 1, 0), (float(2**53), 0)]
+        assert pareto_indices(points) == [1]
+
+    def test_accepts_lists_and_generators_of_sequences(self):
+        points = [[1, 5], [2, 2], [3, 3]]
+        assert pareto_indices(points) == [0, 1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_seeded_400_points_3d(self, seed):
+        # Points scattered about the plane x + y + z = 40, like the
+        # cost/latency/energy trade-off of a Phase-I candidate set, so
+        # the front is large; small integer ranges make ties common.
+        rng = random.Random(seed)
+        points = []
+        for _ in range(400):
+            x, y = rng.randint(0, 20), rng.randint(0, 20)
+            z = max(0, 40 - x - y + rng.randint(-3, 3))
+            points.append((x, y / 2, z))
+        front = pareto_indices(points)
+        assert front == _oracle_indices(points)
+        assert len(front) > 100
+
+
+class TestParetoFrontObservability:
+    @pytest.fixture
+    def obs_on(self):
+        was_enabled = obs.enabled()
+        obs.reset()
+        obs.enable()
+        try:
+            yield
+        finally:
+            if not was_enabled:
+                obs.disable()
+            obs.reset()
+
+    def test_span_and_counters(self, obs_on):
+        pareto_front([(1, 1), (2, 2), (0, 3)], key=lambda v: v)
+        pareto_front([], key=lambda v: v)
+        snap = obs.snapshot()
+        assert snap.spans["util.pareto"][0] == 2
+        assert snap.counters["pareto.points_in"] == 3
+        assert snap.counters["pareto.front_size"] == 2

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.util.rng import make_rng
-from repro.util.stats import RunningStats
+from repro.util.stats import RunningStats, kendall_tau_b
 from repro.util.tables import format_table
 
 
@@ -67,6 +67,31 @@ class TestRunningStats:
         stats.extend([1e9, 1e9 + 1e-6, 1e9])
         assert stats.variance >= 0.0
         assert not math.isnan(stats.stddev)
+
+
+class TestKendallTauB:
+    def test_hand_computed_with_ties(self):
+        # Pairs of (x, y) = (1,1) (2,3) (2,2) (3,2): 3 concordant, 1
+        # discordant, one pair tied in x, one tied in y, n0 = 6, so
+        # tau-b = (3 - 1) / sqrt((6 - 1) * (6 - 1)) = 0.4.
+        assert kendall_tau_b([1, 2, 2, 3], [1, 3, 2, 2]) == 0.4
+
+    def test_pair_tied_in_both_counts_in_both(self):
+        # (0,1) tied in x and y; the other two pairs concordant:
+        # 2 / sqrt((3 - 1) * (3 - 1)) = 1.
+        assert kendall_tau_b([1, 1, 2], [5, 5, 6]) == 1.0
+
+    def test_reversed_order(self):
+        assert kendall_tau_b([1, 2, 3, 4], [8, 6, 4, 2]) == -1.0
+
+    def test_undefined_cases(self):
+        assert kendall_tau_b([], []) is None
+        assert kendall_tau_b([1.0], [2.0]) is None
+        assert kendall_tau_b([3, 3, 3], [1, 2, 3]) is None
+
+    def test_unpaired_samples_raise(self):
+        with pytest.raises(ValueError):
+            kendall_tau_b([1, 2], [1])
 
 
 class TestFormatTable:
