@@ -85,7 +85,17 @@ _SUFFIX = ".simres.pkl"
 #: stale or foreign file is evicted when encountered rather than
 #: deserialized into a result produced by different kernel code).
 #: Bump on any change that could alter simulation results.
-KERNEL_PLAN_VERSION = 8
+KERNEL_PLAN_VERSION = 9
+
+#: SHA-256 of the simulation source :data:`KERNEL_PLAN_VERSION` was
+#: pinned at: the docstring-free syntax trees of ``repro.sim``,
+#: ``repro.memory``, ``repro.timing``, ``repro.connectivity`` and
+#: ``repro.channels``. ``tests/test_kernel_version.py`` recomputes it
+#: and fails until a source change is met by a version bump and a
+#: re-pin here.
+KERNEL_SOURCE_DIGEST = (
+    "ae0b802625ee062283232dbe6c467d4b38ab4ca187f61975f1028b974997248c"
+)
 
 #: Consecutive network faults before a cache peer is written off.
 _NET_FAULT_LIMIT = 3

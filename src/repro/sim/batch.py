@@ -22,15 +22,17 @@ candidate, work that is invariant across the whole sweep:
   connectivity-free *lead* simulation.
 
 Each candidate then runs only its **delta pass**: connectivity-priced
-transfer columns, the contention/stall walk (or the pure vector fold
-when the architecture has no replay modules), and the measured-window
+transfer columns, then either the vector fold (ideal connectivity and
+no replay modules, the APEX shape) or the one contention/stall walk
+(:func:`_replay_pass`, every other member), and the measured-window
 statistics — exactly the parts that depend on the candidate's
-connectivity, sampling, and write model. Results are **bit-identical**
-to independent :meth:`Simulator.run` calls (and to the scalar
-reference loop): the walk replicates the reference recurrence's update
-order over the shared columns, and the shared columns equal what the
-candidate's own modules would have produced, by the
-``supports_batch`` / ``supports_replay`` contracts.
+connectivity, sampling, and write model. :meth:`Simulator.run` takes
+the same route as a private one-member group (:func:`run_single`).
+Results are **bit-identical** to the scalar reference loop: the walk
+replicates the reference recurrence's update order over the shared
+columns, and the shared columns equal what the candidate's own modules
+would have produced, by the ``supports_batch`` / ``supports_replay``
+contracts.
 
 Safety valves: when ``REPRO_REFERENCE_SIM=1`` requests the reference
 loop, or when a group contains a module that is neither batch-capable
@@ -201,6 +203,11 @@ class GroupPlan:
     symbolic in the recording and re-priced per member. Building
     advances the lead's batch modules and DRAM but never its channel
     counters, so the lead may itself be the group's only member.
+
+    It builds only what its members read: stall columns only with
+    replay modules, and walk row lists only for a schedule some member
+    walks (eagerly for a walking lead), so an ideal group without
+    replay modules — the APEX shape — builds neither.
     """
 
     def __init__(self, plan: TracePlan, lead: Simulator) -> None:
@@ -285,8 +292,10 @@ class GroupPlan:
                 replay_rows[positions] = True
         dram_mask = uncached | (refill > 0)
         core, merged = _openrow_core(lead, dram_mask)
+        if obs.enabled() and merged:
+            obs.incr("sim.kernel.openrow_merged_passes")
+            obs.incr("sim.kernel.openrow_merged_accesses", merged)
         self.core = core
-        self.merged_dram = merged
         self.cols_gid = gid_col
         self.cols_uncached = uncached
         self.cols_mlat = mlat
@@ -297,8 +306,8 @@ class GroupPlan:
         #: module's later stalls read every one of its arrivals.
         self.replay_rows = replay_rows
 
-        # Per-gid fold amounts: everything _build_columns adds to the
-        # run state and channel counters, minus the connectivity-priced
+        # Per-gid fold amounts: everything a member adds to the run
+        # state and channel counters, minus the connectivity-priced
         # transfer columns that stay per member.
         fold = []
         for gid in sorted(self.positions_of):
@@ -336,16 +345,19 @@ class GroupPlan:
             )
         self.fold = fold
 
-        # Walk inputs; walk() turns them into per-schedule row lists.
-        stall_src = np.full(n, -1, dtype=np.int64)
-        stall_alpha = np.zeros(n, dtype=np.int64)
-        stall_beta = np.zeros(n, dtype=np.int64)
-        for gid, recording in self.replay.items():
-            positions = self.positions_of[gid]
-            stall_src[positions] = recording.stall_src
-            stall_alpha[positions] = recording.stall_alpha
-            stall_beta[positions] = recording.stall_beta
-        self.stall_cols = (stall_src, stall_alpha, stall_beta)
+        self.has_replay = bool(self.replay)
+        if self.has_replay:
+            # Walk inputs only replay rows read; walk() turns them into
+            # per-schedule row lists.
+            stall_src = np.full(n, -1, dtype=np.int64)
+            stall_alpha = np.zeros(n, dtype=np.int64)
+            stall_beta = np.zeros(n, dtype=np.int64)
+            for gid, recording in self.replay.items():
+                positions = self.positions_of[gid]
+                stall_src[positions] = recording.stall_src
+                stall_alpha[positions] = recording.stall_alpha
+                stall_beta[positions] = recording.stall_beta
+            self.stall_cols = (stall_src, stall_alpha, stall_beta)
         # Per-access DRAM channel column (memory-determined, so shared
         # across the group's members like the other outcome columns).
         dram = memory.dram
@@ -353,16 +365,20 @@ class GroupPlan:
             None if dram.channels == 1
             else dram.channel_column(trace.addresses)
         )
-        self.has_replay = bool(self.replay)
         self.write_mask = plan.write_mask
         #: Candidate-independent energy terms, memoized by the kernel's
         #: :func:`~repro.sim.kernels._accumulate_energy` on first use.
         self.energy_statics: dict = {}
         self._walks: dict = {}
-        # Build the lead schedule's row lists now, next to the columns:
-        # built later, between member passes, they walked measurably
-        # slower.
-        self.walk(plan, lead.sampling)
+        if self.member_walks(lead):
+            # Build a walking lead's row lists now, next to the columns:
+            # built later, between member passes, they walked measurably
+            # slower.
+            self.walk(plan, lead.sampling)
+
+    def member_walks(self, sim: Simulator) -> bool:
+        """Does ``sim`` (a member) need the walk, or does it vector-fold?"""
+        return sim.connectivity is not None or self.has_replay
 
     def walk(
         self, plan: TracePlan, sampling: "SamplingConfig | None"
@@ -431,8 +447,9 @@ class _Walk:
             self.dch_l = [0] * len(self.gid_l)
         else:
             self.dch_l = gplan.dch[rows].tolist()
+        self.mlat_l = self.rsrc_l = self.ralpha_l = self.rbeta_l = None
         if gplan.has_replay:
-            # Only the replay walk reads module latencies and stalls.
+            # Only replay rows read module latencies and stalls.
             self.mlat_l = gplan.cols_mlat[rows].tolist()
             stall_src, stall_alpha, stall_beta = gplan.stall_cols
             self.rsrc_l = stall_src[rows].tolist()
@@ -530,18 +547,19 @@ def _fallback_run(trace: "Trace", job: "_JobLike") -> SimulationResult:
     ).run()
 
 
-def run_replayed(sim: Simulator, state: "_RunState") -> bool:
+def run_single(sim: Simulator, state: "_RunState") -> bool:
     """Evaluate ``sim`` as a one-member group into ``state``.
 
-    The fast path of :meth:`Simulator.run` for architectures with
-    replay modules: the group plan is built over a private
-    :class:`TracePlan` (kept out of the process-wide registry) with
-    ``sim`` itself as the lead, so nothing outlives the run and the
-    architecture is not validated twice. ``sim`` must be freshly
-    primed. Returns ``False`` — modules re-primed, ``state`` untouched
-    — when a module (or the DRAM) neither batches nor replays, so the
-    caller can run the reference loop instead.
+    The fast path of :meth:`Simulator.run`: the group plan is built over
+    a private :class:`TracePlan` (kept out of the process-wide registry)
+    with ``sim`` itself as the lead, so nothing outlives the run and the
+    architecture is not validated twice. ``sim`` must be freshly primed.
+    Returns ``False`` — modules re-primed, ``state`` untouched — when a
+    module (or the DRAM) neither batches nor replays, so the caller can
+    run the reference loop instead.
     """
+    if not len(sim.trace):
+        return True
     plan = TracePlan(sim.trace)
     gplan = GroupPlan(plan, sim)
     if not gplan.replay_ok:
@@ -557,7 +575,8 @@ def _evaluate_member(
     """One candidate's delta pass against the group's shared columns.
 
     Accumulates into ``state`` and ``sim``'s channel counters exactly
-    what an independent run of ``sim`` would.
+    what an independent reference run of ``sim`` would: the vector fold
+    for an ideal member without replay rows, the walk for the rest.
     """
     groups, _ = _build_groups(sim)
     if [group.target for group in groups] != gplan.targets:
@@ -565,28 +584,19 @@ def _evaluate_member(
             "batch group plan does not match the candidate's routing"
         )
     cols = _member_columns(sim, state, gplan, groups)
-    group_positions = gplan.positions_of
-    if not gplan.has_replay:
-        _evaluate_columns(
-            sim, state, groups, group_positions, cols, gplan.core,
-            gplan.merged_dram, shared=gplan, walk=gplan.walk(plan, None),
-        )
-        return
     _, counted, measured = plan.sampling_columns(sim.sampling)
+    if not gplan.member_walks(sim):
+        _evaluate_columns(sim, state, groups, gplan, cols, counted, measured)
+        return
     walk = gplan.walk(plan, sim.sampling)
     latencies = _replay_pass(sim, state, groups, gplan, cols, walk)
     if sim.posted_writes:
         eff = np.where(plan.write_mask, np.int64(1), latencies)
     else:
         eff = latencies
-    _fold_measured(
-        sim, state, groups, group_positions, cols, gplan.core, eff,
-        counted, measured, shared=gplan,
-    )
+    _fold_measured(sim, state, groups, gplan, eff, counted, measured)
     if obs.enabled():
-        if gplan.merged_dram:
-            obs.incr("sim.kernel.openrow_merged_passes")
-            obs.incr("sim.kernel.openrow_merged_accesses", gplan.merged_dram)
+        obs.incr("sim.walk.rows", len(walk.gid_l))
         if walk.folds:
             obs.incr("sim.batch.folded_spans", len(walk.folds))
             obs.incr(
@@ -598,22 +608,13 @@ def _evaluate_member(
 def _member_columns(
     sim: Simulator, state: "_RunState", gplan: GroupPlan, groups: list
 ) -> _Columns:
-    """One member's column set over the group's shared arrays.
+    """One member's connectivity-priced transfer columns.
 
-    The per-member remainder of :func:`_build_columns`: the shared,
-    candidate-independent columns are taken from the group plan by
-    reference, the counter folds replay the plan's precomputed per-gid
-    amounts into this member's state, and only the connectivity-priced
-    transfer columns are computed fresh.
+    The candidate-independent columns stay on the group plan; the
+    counter folds replay the plan's precomputed per-gid amounts into
+    this member's state, and only the transfer columns are computed
+    fresh.
     """
-    cols = _Columns()
-    cols.gid = gplan.cols_gid
-    cols.uncached = gplan.cols_uncached
-    cols.mlat = gplan.cols_mlat
-    cols.refill = gplan.cols_refill
-    cols.offpath = gplan.cols_offpath
-    cols.dram_mask = gplan.cols_dram_mask
-
     n = len(gplan.cols_gid)
     conn = np.zeros(n, dtype=np.int64)
     occ = np.zeros(n, dtype=np.int64)
@@ -678,12 +679,15 @@ def _member_columns(
         cpu_state.bytes_moved += size_sum
         cpu_state.transactions += count
 
-    cols.conn = conn
+    # A batch row's wire and module latencies only ever add up, so the
+    # walk reads them fused; a replay row subtracts the module part back.
+    cols = _Columns()
+    cols.serve = conn + gplan.cols_mlat
     cols.occ = occ
     cols.dbeats = dbeats
     cols.docc = docc
     cols.bgocc = bgocc
-    cols.u_partial = conn + cols.mlat + dbase + dbeats
+    cols.u_partial = cols.serve + dbase + dbeats
     return cols
 
 
@@ -697,12 +701,13 @@ def _replay_pass(
 ) -> np.ndarray:
     """The candidate's contention/stall walk over the shared columns.
 
-    Replicates the reference recurrence's update order for every row
-    of ``walk`` — uncached, batch-column, and replay rows alike, on- and
-    off-window — reading module outcomes from the group plan and
-    pricing each replay hit's stall from its affine term against this
-    candidate's arrivals and backing delay; the walk's folds add their
-    contention-free latencies in one sum each. Returns the raw latency
+    The one walk of every member with a connectivity architecture or a
+    replay module. Replicates the reference recurrence's update order
+    for every row of ``walk`` — uncached, batch-column, and replay rows
+    alike, on- and off-window — reading module outcomes from the group
+    plan and pricing each replay hit's stall from its affine term
+    against this candidate's arrivals and backing delay; the walk's
+    folds add their contention-free latencies in one sum each. Returns the raw latency
     column (pre posted-write folding) and leaves ``state``/channel
     counters exactly as the reference loop would.
     """
@@ -766,7 +771,7 @@ def _replay_pass(
 
     rows = walk.rows
     sel = slice(None) if rows is None else rows
-    conn_l = cols.conn[sel].tolist()
+    serve_l = cols.serve[sel].tolist()
     occ_l = cols.occ[sel].tolist()
     dbeats_l = cols.dbeats[sel].tolist()
     docc_l = cols.docc[sel].tolist()
@@ -785,7 +790,7 @@ def _replay_pass(
     posted = sim.posted_writes
     write_l = walk.write_l if posted else None
 
-    n = len(conn_l)
+    n = len(serve_l)
     lat_out = [0] * n
     arrivals: list[list[int]] = [[] for _ in groups]
     cluster_free = state.cluster_free
@@ -851,9 +856,9 @@ def _replay_pass(
                 else:
                     start = issue
                     wait = 0
-                arrival = start + conn_l[k]
-                response_latency = mlat_l[k]
+                served = start + serve_l[k]
                 if kind == 2:
+                    arrival = served - mlat_l[k]
                     arr_list = arrivals[gid]
                     arr_list.append(arrival)
                     src = rsrc_l[k]
@@ -864,8 +869,7 @@ def _replay_pass(
                             + rbeta_l[k]
                         )
                         if ready > arrival:
-                            response_latency += ready - arrival
-                served = arrival + response_latency
+                            served += ready - arrival
                 completion = served
                 if back_kind and refill_l[k]:
                     if back_kind == 2:
@@ -993,9 +997,9 @@ def _replay_pass(
                     else:
                         start = issue
                         wait = 0
-                    arrival = start + conn_l[k]
-                    response_latency = mlat_l[k]
+                    served = start + serve_l[k]
                     if kind == 2:
+                        arrival = served - mlat_l[k]
                         arr_list = arrivals[gid]
                         arr_list.append(arrival)
                         src = rsrc_l[k]
@@ -1006,8 +1010,7 @@ def _replay_pass(
                                 + rbeta_l[k]
                             )
                             if ready > arrival:
-                                response_latency += ready - arrival
-                    served = arrival + response_latency
+                                served += ready - arrival
                     completion = served
                     if back_kind and refill_l[k]:
                         if back_kind == 2:

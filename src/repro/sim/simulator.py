@@ -25,8 +25,9 @@ Energy model: module array energy per access, DRAM core + pin energy
 per DRAM transaction, and wire switching energy per byte per
 connection (from the connectivity architecture's wire models).
 
-Execution engines: :meth:`Simulator.run` dispatches to a fast path
-(:mod:`repro.sim.kernels`) by default and to the scalar reference loop
+Execution engines: :meth:`Simulator.run` dispatches to the fast path
+(a one-member group of :mod:`repro.sim.batch`, folded by
+:mod:`repro.sim.kernels`) by default and to the scalar reference loop
 kept in this module with ``run(reference=True)`` or
 ``REPRO_REFERENCE_SIM=1``. They produce bit-identical
 :class:`SimulationResult`\\ s — the kernel's golden-equivalence suite
@@ -297,12 +298,16 @@ class Simulator:
                 ``REPRO_REFERENCE_SIM`` environment variable opts out.
                 Every path returns bit-identical results.
 
-        The fast path is the columnar kernel when every module batches,
-        and the batch evaluator's replay pass over a private one-member
-        group when the rest replay (the DMA engines); a module that
-        neither batches nor replays runs the reference loop.
+        The fast path evaluates the run as a private one-member group
+        of the batch evaluator (:func:`repro.sim.batch.run_single`):
+        the group plan's module columns and merged DRAM pass, then the
+        vector fold (ideal connectivity, no DMA engines) or the
+        contention/stall walk. A module that neither batches nor
+        replays runs the reference loop.
         """
-        from repro.sim.kernels import reference_requested, run_kernel
+        # The batch evaluator imports this module, so resolve it lazily.
+        from repro.sim.batch import run_single
+        from repro.sim.kernels import reference_requested
 
         if reference is None:
             reference = reference_requested()
@@ -311,7 +316,7 @@ class Simulator:
             for channel_state in self._channels:
                 channel_state.reset()
             state = _RunState(self)
-            if reference or not run_kernel(self, state):
+            if reference or not run_single(self, state):
                 self._reference_loop(state)
             result = self._finalize(state)
         if obs.enabled():

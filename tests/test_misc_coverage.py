@@ -127,8 +127,8 @@ class TestArchitectureEdges:
         """Modules returning nonsense latencies are caught.
 
         Covered for both kernel paths: ``batch=True`` keeps the broken
-        scalar/batched pair in lockstep (the columnar engine's
-        vectorized guard fires), ``batch=False`` honours the
+        scalar/batched pair in lockstep (the fast path's vector-fold
+        guard fires), ``batch=False`` honours the
         ``supports_batch`` contract for a scalar-only override (the
         reference loop's guard fires).
         """

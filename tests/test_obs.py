@@ -12,6 +12,7 @@ import json
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -19,6 +20,7 @@ from repro.apex.explorer import ApexResult
 from repro.config import (
     JOB_TIMEOUT_ENV,
     OBS_ENV,
+    REFERENCE_SIM_ENV,
     WORKERS_ENV,
     Settings,
     current_settings,
@@ -30,6 +32,7 @@ from repro.exec.cache import NullCache, SimulationCache
 from repro.exec.engine import SimulationJob, simulate_batch
 from repro.exec.runtime import FAULT_INJECT_ENV, ExecutionRuntime, RuntimeStats
 from repro.obs.registry import ObsSnapshot
+from repro.sim.batch import TracePlan, evaluate_group
 
 from .test_exec_faults import _jobs
 
@@ -167,6 +170,42 @@ class TestSnapshotMerge:
         before = obs.snapshot()
         obs.merge_snapshot(None)
         assert obs.snapshot() == before
+
+
+class TestSimCounters:
+    def test_merged_openrow_pass_counts_once_per_group_plan(
+        self,
+        tiny_trace,
+        cache_architecture,
+        cache_connectivity,
+        obs_on,
+        monkeypatch,
+    ):
+        """Three members, evaluated twice, share one merged DRAM pass."""
+        monkeypatch.delenv(REFERENCE_SIM_ENV, raising=False)
+        jobs = [
+            SimulationJob(memory=cache_architecture),
+            SimulationJob(
+                memory=cache_architecture, connectivity=cache_connectivity
+            ),
+            SimulationJob(
+                memory=cache_architecture,
+                connectivity=cache_connectivity,
+                posted_writes=True,
+            ),
+        ]
+        plan = TracePlan(tiny_trace)
+        for _ in range(2):
+            _, delta_candidates = evaluate_group(tiny_trace, jobs, plan=plan)
+            assert delta_candidates == len(jobs)
+        counters = obs.snapshot().counters
+        gplan = plan.group_plan(cache_architecture)
+        dram_rows = int(np.count_nonzero(gplan.cols_dram_mask))
+        assert dram_rows > 0
+        assert counters["sim.kernel.openrow_merged_passes"] == 1
+        assert counters["sim.kernel.openrow_merged_accesses"] == dram_rows
+        # The ideal member vector-folds; the other two walk every row.
+        assert counters["sim.walk.rows"] == 2 * 2 * len(tiny_trace)
 
 
 def _evaluated(snap) -> int:
