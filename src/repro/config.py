@@ -84,9 +84,6 @@ SERVICE_DRAIN_TIMEOUT_ENV = "REPRO_SERVICE_DRAIN_TIMEOUT"
 #: Base URL the service client commands talk to.
 SERVICE_URL_ENV = "REPRO_SERVICE_URL"
 
-#: ``0`` disables capping pool sizes at ``os.cpu_count()``.
-WORKERS_CAP_ENV = "REPRO_WORKERS_CAP"
-
 #: Chaos hook for fault-injection tests (``once:<path>`` / ``hang:<path>``
 #: / ``always``); consulted only by pool workers.
 FAULT_INJECT_ENV = "REPRO_FAULT_INJECT"
@@ -135,7 +132,6 @@ class Settings:
     ``worker_addrs``            ``REPRO_WORKER_ADDRS``         ``()``
     ``cache_url``               ``REPRO_CACHE_URL``            ``None``
     ``cache_max_mb``            ``REPRO_CACHE_MAX_MB``         ``None``
-    ``workers_cap``             ``REPRO_WORKERS_CAP``          ``True``
     ``max_frame_mb``            ``REPRO_MAX_FRAME_MB``         ``256.0``
     ``service_host``            ``REPRO_SERVICE_HOST``         ``"127.0.0.1"``
     ``service_port``            ``REPRO_SERVICE_PORT``         ``8753``
@@ -165,7 +161,6 @@ class Settings:
     worker_addrs: tuple[str, ...] = ()
     cache_url: str | None = None
     cache_max_mb: float | None = None
-    workers_cap: bool = True
     max_frame_mb: float = 256.0
     service_host: str = "127.0.0.1"
     service_port: int = 8753
@@ -307,7 +302,6 @@ class Settings:
             worker_addrs=worker_addrs,
             cache_url=_get(env, CACHE_URL_ENV) or None,
             cache_max_mb=cache_max_mb,
-            workers_cap=_get(env, WORKERS_CAP_ENV) != "0",
             max_frame_mb=_float_knob(MAX_FRAME_MB_ENV, 256.0),
             service_host=_get(env, SERVICE_HOST_ENV) or "127.0.0.1",
             service_port=_int_knob(SERVICE_PORT_ENV, 8753),
@@ -334,7 +328,6 @@ class Settings:
         env: dict[str, str] = {
             WORKERS_ENV: str(self.workers),
             MAX_RETRIES_ENV: str(self.max_retries),
-            WORKERS_CAP_ENV: "1" if self.workers_cap else "0",
             MAX_FRAME_MB_ENV: repr(self.max_frame_mb),
             SERVICE_HOST_ENV: self.service_host,
             SERVICE_PORT_ENV: str(self.service_port),

@@ -15,15 +15,15 @@ connectivity) design points. This package makes that the fast path:
   so workers attach zero-copy instead of unpickling them. Dispatch is fault
   tolerant: worker deaths and job timeouts (``REPRO_JOB_TIMEOUT``)
   rebuild the pool and re-dispatch only the unfinished jobs, and
-  after ``REPRO_MAX_RETRIES`` rebuilds the batch degrades to the
+  after ``REPRO_MAX_RETRIES`` retry rounds the batch degrades to the
   serial in-process path instead of failing. Pools are capped at the
-  machine's CPU count (``REPRO_WORKERS_CAP=0`` opts out).
-* :mod:`repro.exec.backend` — the pluggable
-  :class:`ExecutionBackend` interface every engine batch goes through:
-  :class:`SerialBackend`, :class:`PoolBackend` (the runtime),
-  :class:`RemoteBackend` (one socket worker), and
-  :class:`ShardedBackend` (N backends with fault-tolerant re-dispatch
-  of memory-signature groups). Select with ``backend=`` or
+  machine's CPU count. The runtime is the ``"pool"`` backend; the
+  module also holds the :class:`ExecutionBackend` interface, the work
+  units and the one recovery loop every backend shares.
+* :mod:`repro.exec.backend` — the other backends:
+  :class:`SerialBackend`, :class:`RemoteBackend` (one socket worker),
+  and :class:`ShardedBackend` (N backends with fault-tolerant
+  re-dispatch of memory-signature groups). Select with ``backend=`` or
   ``REPRO_BACKEND`` / ``REPRO_WORKER_ADDRS``.
 * :mod:`repro.exec.net` / :mod:`repro.exec.worker` — the
   dependency-free length-prefixed socket protocol and the ``repro
@@ -41,7 +41,6 @@ See ``docs/performance.md`` for the knobs and invalidation rules.
 
 from repro.exec.backend import (
     ExecutionBackend,
-    PoolBackend,
     RemoteBackend,
     SerialBackend,
     ShardedBackend,
@@ -101,7 +100,6 @@ __all__ = [
     "MAX_RETRIES_ENV",
     "NULL_CACHE",
     "NullCache",
-    "PoolBackend",
     "RemoteBackend",
     "RuntimeStats",
     "SerialBackend",

@@ -1,135 +1,73 @@
-"""Pluggable execution backends: where a batch's misses actually run.
+"""Execution backends: where a batch's misses actually run.
 
 The engine (:mod:`repro.exec.engine`) owns *what* to run — cache
 lookups, dedup, memory-signature grouping, job-index-keyed merge. A
 backend owns *where*, and every engine batch goes through exactly one
-backend: the two ``run_*`` methods of :class:`ExecutionBackend`
-(whole same-signature groups, Phase-I estimates) each take an ordered
-work list and return results in the same order, so every backend is
-interchangeable and a run is bit-identical whichever one dispatches it
-(the simulator is deterministic and results are keyed by index, never
-by completion order).
+:class:`~repro.exec.runtime.ExecutionBackend`: its two ``run_*``
+methods (whole same-signature groups, Phase-I estimates) each take an
+ordered work list and return results in the same order, so a run is
+bit-identical whichever backend dispatches it.
 
 Implementations:
 
-* :class:`SerialBackend` — in-process loops; the reference semantics
-  and the engine's choice for ``workers=1``.
-* :class:`PoolBackend` — wraps the persistent
-  :class:`~repro.exec.runtime.ExecutionRuntime` (one process pool,
-  shared-memory trace exports, fault-tolerant chunk dispatch); the
-  engine's choice for ``workers > 1``.
+* :class:`SerialBackend` — the work units in-process; the reference
+  semantics and the engine's choice for ``workers=1``.
+* :class:`~repro.exec.runtime.ExecutionRuntime` — the ``"pool"``
+  backend (one persistent process pool); the engine's choice for
+  ``workers > 1``.
 * :class:`RemoteBackend` — one socket worker
   (:mod:`repro.exec.worker`) over the :mod:`repro.exec.net` frame
   protocol. The trace ships at most once per (worker, fingerprint);
   job batches then reference the fingerprint alone.
 * :class:`ShardedBackend` — composes N backends, sharding the work
-  list round-robin by index. Fault tolerance mirrors the runtime's
-  (PR 4) semantics: a :class:`~repro.exec.net.BackendUnavailable`
-  marks the shard dead and re-dispatches only its unfinished items to
-  the survivors; after ``max_retries`` recovery rounds (or when no
-  shard survives) the remainder degrades to a local
-  :class:`SerialBackend`. Job-raised errors are *not* faults and
+  list round-robin by index. It recovers through the runtime's loop
+  (:func:`~repro.exec.runtime.run_with_recovery`): a
+  :class:`~repro.exec.net.BackendUnavailable` marks the shard dead and
+  only its unfinished items go to the survivors; after ``max_retries``
+  retry rounds (or when no shard survives) the remainder degrades to a
+  local :class:`SerialBackend`. Job-raised errors are *not* faults and
   propagate unchanged.
 
 Selection: pass ``backend=`` to an engine entry point (an instance or
 one of the names ``"serial"``/``"pool"``/``"remote"``), or set
-``REPRO_BACKEND`` — ``"remote"`` builds a :class:`ShardedBackend` of
-one :class:`RemoteBackend` per ``REPRO_WORKER_ADDRS`` address. With
-neither, the engine picks :class:`SerialBackend` or
-:class:`PoolBackend` from the worker count.
+``REPRO_BACKEND`` — ``"pool"`` is the caller's ``runtime=`` (else the
+process-wide default runtime), ``"remote"`` builds a
+:class:`ShardedBackend` of one :class:`RemoteBackend` per
+``REPRO_WORKER_ADDRS`` address. With neither, the engine picks
+:class:`SerialBackend` or the runtime from the worker count.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from repro import obs
-from repro.conex.estimator import ConnectivityEstimate, estimate_design
 from repro.config import WORKER_ADDRS_ENV, current_settings
 from repro.errors import ExecutionError
 from repro.exec import net
-from repro.exec.cache import KERNEL_PLAN_VERSION
 from repro.exec.runtime import (
     DispatchStats,
+    ExecutionBackend,
     ExecutionRuntime,
     default_runtime,
+    estimate_jobs,
+    evaluate_groups,
     resolve_max_retries,
+    run_with_recovery,
 )
-from repro.sim import batch as sim_batch
-from repro.sim.metrics import SimulationResult
 from repro.trace.events import Trace
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.exec.engine import EstimateJob, SimulationJob
 
 __all__ = [
     "ExecutionBackend",
-    "PoolBackend",
     "RemoteBackend",
     "SerialBackend",
     "ShardedBackend",
     "resolve_backend",
 ]
 
-GroupOutcome = "tuple[list[SimulationResult], int]"
-
-
-class ExecutionBackend:
-    """Interface: run ordered work lists, return results in order.
-
-    Subclasses implement the two ``run_*`` methods and keep
-    :attr:`last_dispatch` current; :attr:`bytes_sent` /
-    :attr:`bytes_received` stay zero for local backends.
-    """
-
-    #: Short name surfaced as ``EngineReport.backend``.
-    name = "base"
-
-    #: Fault accounting for the most recent ``run_*`` call.
-    last_dispatch: DispatchStats | None = None
-
-    @property
-    def bytes_sent(self) -> int:
-        return 0
-
-    @property
-    def bytes_received(self) -> int:
-        return 0
-
-    def run_groups(
-        self, trace: Trace, groups: "Sequence[Sequence[SimulationJob]]"
-    ) -> list:
-        """Evaluate whole same-signature groups, ordered like ``groups``.
-
-        Returns one ``(results, delta_candidates)`` pair per group —
-        the :func:`repro.sim.batch.evaluate_group` contract. Groups
-        are never split: splitting would forfeit the shared trace
-        plan and module columns.
-        """
-        raise NotImplementedError
-
-    def run_estimates(
-        self, jobs: "Sequence[EstimateJob]"
-    ) -> list[ConnectivityEstimate]:
-        """Run every Phase-I estimate, ordered like ``jobs``."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release pools/sockets. Idempotent; safe on unused backends."""
-
-    def __enter__(self) -> "ExecutionBackend":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__}>"
-
-
 class SerialBackend(ExecutionBackend):
-    """In-process loops — the reference every other backend must match."""
+    """In-process work units: the reference every backend must match."""
 
     name = "serial"
 
@@ -137,70 +75,21 @@ class SerialBackend(ExecutionBackend):
         self.last_dispatch = DispatchStats(
             jobs=sum(len(group) for group in groups)
         )
-        plan = sim_batch.trace_plan(trace)
-        return [
-            sim_batch.evaluate_group(trace, group, plan) for group in groups
-        ]
+        return evaluate_groups(trace, groups)
 
     def run_estimates(self, jobs):
         self.last_dispatch = DispatchStats(jobs=len(jobs))
-        return [
-            estimate_design(job.memory, job.connectivity, job.profile)
-            for job in jobs
-        ]
-
-
-class PoolBackend(ExecutionBackend):
-    """The persistent process-pool runtime behind the backend interface.
-
-    Args:
-        runtime: an :class:`~repro.exec.runtime.ExecutionRuntime` to
-            dispatch through (not closed by this backend — ownership
-            stays with whoever built it); ``None`` takes the
-            process-wide default sized for ``workers``.
-        workers: pool size when no runtime is given.
-    """
-
-    name = "pool"
-
-    def __init__(
-        self,
-        runtime: ExecutionRuntime | None = None,
-        workers: int | None = None,
-    ) -> None:
-        self._runtime = runtime if runtime is not None else default_runtime(workers)
-
-    @property
-    def runtime(self) -> ExecutionRuntime:
-        return self._runtime
-
-    def _delegate(self, call: Callable) -> list:
-        results = call()
-        self.last_dispatch = self._runtime.last_dispatch
-        return results
-
-    def run_groups(self, trace, groups):
-        return self._delegate(
-            lambda: self._runtime.map_simulation_groups(trace, groups)
-        )
-
-    def run_estimates(self, jobs):
-        return self._delegate(lambda: self._runtime.map_estimates(jobs))
-
-    def __repr__(self) -> str:
-        return f"<PoolBackend runtime={self._runtime!r}>"
+        return estimate_jobs(jobs)
 
 
 class RemoteBackend(ExecutionBackend):
     """One socket worker, addressed as ``host:port``.
 
-    The connection is opened lazily (handshake checks protocol and
-    :data:`~repro.exec.cache.KERNEL_PLAN_VERSION`) and re-opened after
-    a fault; the per-connection pushed-trace set is dropped with the
-    connection, since a replacement worker process starts blank. All
-    connection-level failures surface as
-    :class:`~repro.exec.net.BackendUnavailable` for the sharding layer
-    to recover from.
+    The :class:`~repro.exec.net.Link` connects lazily and re-connects
+    after a fault; the pushed-trace set is dropped with the connection,
+    since a replacement worker process starts blank. Connection-level
+    failures surface as :class:`~repro.exec.net.BackendUnavailable` for
+    the sharding layer to recover from.
     """
 
     name = "remote"
@@ -212,52 +101,28 @@ class RemoteBackend(ExecutionBackend):
             if timeout is not None
             else current_settings().job_timeout
         )
-        self._conn: net.Connection | None = None
+        self._link = net.Link(address)
         self._pushed: set[str] = set()
-        self._closed_sent = 0
-        self._closed_received = 0
 
     @property
     def bytes_sent(self) -> int:
-        conn = self._conn
-        return self._closed_sent + (conn.bytes_sent if conn else 0)
+        return self._link.bytes_sent
 
     @property
     def bytes_received(self) -> int:
-        conn = self._conn
-        return self._closed_received + (conn.bytes_received if conn else 0)
+        return self._link.bytes_received
 
-    def _connection(self) -> net.Connection:
-        if self._conn is None:
-            conn = net.Connection.connect(self.address, timeout=self.timeout)
-            try:
-                conn.request_pickled(
-                    net.MSG_HELLO,
-                    {
-                        "protocol": net.PROTOCOL_VERSION,
-                        "kernel_plan_version": KERNEL_PLAN_VERSION,
-                    },
-                )
-            except Exception:
-                conn.close()
-                raise
-            self._conn = conn
-            self._pushed = set()
-        return self._conn
-
-    def _drop_connection(self) -> None:
-        conn, self._conn = self._conn, None
-        self._pushed = set()
-        if conn is not None:
-            self._closed_sent += conn.bytes_sent
-            self._closed_received += conn.bytes_received
-            conn.close()
-
-    def _request(self, kind: int, value) -> net.Frame:
+    def _request(self, kind: int, value, payload: bytes | None = None):
+        """Send ``value`` pickled (or raw ``payload``); drop on a fault."""
         try:
-            return self._connection().request_pickled(kind, value)
+            connection = self._link.connection(self.timeout)
+            if payload is None:
+                return connection.request_pickled(kind, value)
+            return connection.request(kind, payload)
         except net.BackendUnavailable:
-            self._drop_connection()
+            # A replacement worker process starts blank: forget traces.
+            self._link.drop()
+            self._pushed = set()
             raise
 
     def ping(self) -> bool:
@@ -275,14 +140,9 @@ class RemoteBackend(ExecutionBackend):
         reply = self._request(net.MSG_TRACE_QUERY, fingerprint)
         if not reply.unpickle().get("have"):
             with obs.span("backend.trace_push"):
-                connection = self._connection()
-                try:
-                    connection.request(
-                        net.MSG_TRACE_PUSH, net.encode_trace(trace)
-                    )
-                except net.BackendUnavailable:
-                    self._drop_connection()
-                    raise
+                self._request(
+                    net.MSG_TRACE_PUSH, None, net.encode_trace(trace)
+                )
             obs.incr("backend.trace_pushes")
         self._pushed.add(fingerprint)
 
@@ -334,10 +194,11 @@ class RemoteBackend(ExecutionBackend):
         )
 
     def close(self) -> None:
-        self._drop_connection()
+        self._link.drop()
+        self._pushed = set()
 
     def __repr__(self) -> str:
-        state = "connected" if self._conn is not None else "idle"
+        state = "connected" if self._link.connected else "idle"
         return f"<RemoteBackend {self.address} ({state})>"
 
 
@@ -368,14 +229,6 @@ class ShardedBackend(ExecutionBackend):
         self._alive = [True] * len(self.backends)
 
     @property
-    def healthy_backends(self) -> list[ExecutionBackend]:
-        return [
-            backend
-            for backend, alive in zip(self.backends, self._alive)
-            if alive
-        ]
-
-    @property
     def bytes_sent(self) -> int:
         return sum(backend.bytes_sent for backend in self.backends)
 
@@ -385,43 +238,29 @@ class ShardedBackend(ExecutionBackend):
 
     # -- fault-tolerant sharded dispatch -------------------------------
 
-    def _run_sharded(
+    def _run(
         self,
-        items: Sequence,
+        items: list,
         run: Callable[[ExecutionBackend, list], list],
         run_fallback: Callable[[list], list],
         jobs: int,
     ) -> list:
-        """The sharding core shared by both ``run_*`` methods.
+        """Shard ``items`` with :func:`~repro.exec.runtime.run_with_recovery`.
 
         ``run(backend, subset)`` executes a shard's item subset;
-        ``run_fallback(subset)`` is the local degraded path. Mirrors
-        :meth:`repro.exec.runtime.ExecutionRuntime._dispatch_chunks`:
-        per-round bookkeeping keyed by item index, dead shards detected
-        via :class:`~repro.exec.net.BackendUnavailable`, unfinished
-        items re-dispatched to survivors, serial degradation after the
-        retry budget. Item-raised errors propagate unchanged.
+        ``run_fallback(subset)`` is the local degraded path.
         """
-        stats = DispatchStats(jobs=jobs)
-        results: list = [None] * len(items)
-        finished = [False] * len(items)
-        pending = list(range(len(items)))
-        while pending:
-            shards = [
-                index
-                for index, alive in enumerate(self._alive)
-                if alive
-            ]
-            if not shards or stats.degraded:
-                stats.degraded = True
-                values = run_fallback([items[i] for i in pending])
-                for index, value in zip(pending, values):
-                    results[index] = value
-                break
+
+        def shard_round(pending: list, _stats: DispatchStats):
+            shards = [i for i, alive in enumerate(self._alive) if alive]
+            if not shards:
+                return None
             # Deterministic round-robin by position in the pending list.
-            assignments: dict[int, list[int]] = {s: [] for s in shards}
-            for position, index in enumerate(pending):
-                assignments[shards[position % len(shards)]].append(index)
+            count = len(shards)
+            assignments = {
+                shard: pending[k::count] for k, shard in enumerate(shards)
+            }
+            finished: list = []
             errors: list[BaseException] = []
 
             def dispatch(shard: int, indices: list[int]) -> None:
@@ -437,9 +276,7 @@ class ShardedBackend(ExecutionBackend):
                 except BaseException as error:  # job error: propagate
                     errors.append(error)
                 else:
-                    for index, value in zip(indices, values):
-                        results[index] = value
-                        finished[index] = True
+                    finished.extend(zip(indices, values))
 
             threads = [
                 threading.Thread(target=dispatch, args=(shard, indices))
@@ -452,18 +289,17 @@ class ShardedBackend(ExecutionBackend):
                 thread.join()
             if errors:
                 raise errors[0]
-            pending = [i for i in pending if not finished[i]]
-            if pending:
-                if stats.retries >= self.max_retries:
-                    stats.degraded = True
-                else:
-                    stats.retries += 1
+            if len(finished) < len(pending):
                 obs.incr("backend.redispatches")
-        self.last_dispatch = stats
+            return finished
+
+        results, self.last_dispatch = run_with_recovery(
+            items, shard_round, run_fallback, self.max_retries, jobs
+        )
         return results
 
     def run_groups(self, trace, groups):
-        return self._run_sharded(
+        return self._run(
             [tuple(group) for group in groups],
             lambda backend, subset: backend.run_groups(trace, subset),
             lambda subset: self.fallback.run_groups(trace, subset),
@@ -471,7 +307,7 @@ class ShardedBackend(ExecutionBackend):
         )
 
     def run_estimates(self, jobs):
-        return self._run_sharded(
+        return self._run(
             list(jobs),
             lambda backend, subset: backend.run_estimates(subset),
             lambda subset: self.fallback.run_estimates(subset),
@@ -493,14 +329,19 @@ class ShardedBackend(ExecutionBackend):
 def resolve_backend(
     backend: "ExecutionBackend | str | None" = None,
     workers: int | None = None,
+    runtime: ExecutionRuntime | None = None,
 ) -> ExecutionBackend | None:
     """Turn a backend spec into an instance, or ``None`` when none is set.
 
     ``None`` consults ``Settings.backend`` (``REPRO_BACKEND``); when
     that is empty too, the result is ``None`` and the engine picks
-    serial or pool from the worker count. ``"remote"`` shards across
-    one :class:`RemoteBackend` per ``REPRO_WORKER_ADDRS`` address, with
-    the runtime's retry budget and a serial local fallback.
+    serial or pool from the worker count. ``"pool"`` is ``runtime``
+    itself, or the process-wide :func:`~repro.exec.runtime.default_runtime`
+    sized for ``workers`` when no runtime is given; either way the
+    caller does not own it and must not close it. ``"remote"`` shards
+    across one :class:`RemoteBackend` per ``REPRO_WORKER_ADDRS``
+    address, with the runtime's retry budget and a serial local
+    fallback.
     """
     if backend is None:
         spec = current_settings().backend
@@ -512,7 +353,7 @@ def resolve_backend(
     if backend == "serial":
         return SerialBackend()
     if backend == "pool":
-        return PoolBackend(workers=workers)
+        return runtime if runtime is not None else default_runtime(workers)
     if backend == "remote":
         addresses = current_settings().worker_addrs
         if not addresses:

@@ -57,6 +57,7 @@ from repro import obs
 from repro.apex.architectures import MemoryArchitecture
 from repro.config import CACHE_DIR_ENV, CACHE_URL_ENV, current_settings
 from repro.connectivity.architecture import ConnectivityArchitecture
+from repro.exec import net
 from repro.sim.metrics import SimulationResult
 from repro.sim.sampling import SamplingConfig
 from repro.trace.events import Trace
@@ -85,16 +86,17 @@ _SUFFIX = ".simres.pkl"
 #: stale or foreign file is evicted when encountered rather than
 #: deserialized into a result produced by different kernel code).
 #: Bump on any change that could alter simulation results.
-KERNEL_PLAN_VERSION = 9
+KERNEL_PLAN_VERSION = 10
 
 #: SHA-256 of the simulation source :data:`KERNEL_PLAN_VERSION` was
 #: pinned at: the docstring-free syntax trees of ``repro.sim``,
-#: ``repro.memory``, ``repro.timing``, ``repro.connectivity`` and
-#: ``repro.channels``. ``tests/test_kernel_version.py`` recomputes it
+#: ``repro.memory``, ``repro.timing``, ``repro.connectivity``,
+#: ``repro.trace``, ``repro.apex.architectures`` and ``repro.channels``.
+#: ``tests/test_kernel_version.py`` recomputes it
 #: and fails until a source change is met by a version bump and a
 #: re-pin here.
 KERNEL_SOURCE_DIGEST = (
-    "ae0b802625ee062283232dbe6c467d4b38ab4ca187f61975f1028b974997248c"
+    "65aeb6333d227f054e3e290951d4a66bd32d7e43da5c33faa7cb1a91cd75daa9"
 )
 
 #: Consecutive network faults before a cache peer is written off.
@@ -167,76 +169,48 @@ class CacheClient:
     def __init__(self, url: str, timeout: float | None = 5.0) -> None:
         self.url = url
         self.timeout = timeout
-        self._conn = None
+        self._link = net.Link(url)
         self._faults = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
 
     @property
     def dead(self) -> bool:
         return self._faults >= _NET_FAULT_LIMIT
 
-    def _connection(self):
-        from repro.exec import net
+    @property
+    def bytes_sent(self) -> int:
+        return self._link.bytes_sent
 
-        if self._conn is None:
-            conn = net.Connection.connect(self.url, timeout=self.timeout)
-            conn.request_pickled(
-                net.MSG_HELLO,
-                {
-                    "protocol": net.PROTOCOL_VERSION,
-                    "kernel_plan_version": KERNEL_PLAN_VERSION,
-                },
-            )
-            self._conn = conn
-        return self._conn
+    @property
+    def bytes_received(self) -> int:
+        return self._link.bytes_received
 
-    def _drop_connection(self) -> None:
-        conn, self._conn = self._conn, None
-        if conn is not None:
-            self.bytes_sent += conn.bytes_sent
-            self.bytes_received += conn.bytes_received
-            conn.close()
-        self._faults += 1
-        obs.incr("cache.net_errors")
-
-    def get(self, digest: str) -> bytes | None:
-        from repro.exec import net
-
+    def _request(self, kind: int, value) -> "net.Frame | None":
+        """One request, or ``None`` when the peer is dead or just faulted."""
         if self.dead:
             return None
         try:
-            reply = self._connection().request_pickled(
-                net.MSG_CACHE_GET, digest
+            reply = self._link.connection(self.timeout).request_pickled(
+                kind, value
             )
         except net.BackendUnavailable:
-            self._drop_connection()
+            self._link.drop()
+            self._faults += 1
+            obs.incr("cache.net_errors")
             return None
         self._faults = 0
-        if reply.kind != net.MSG_CACHE_HIT:
+        return reply
+
+    def get(self, digest: str) -> bytes | None:
+        reply = self._request(net.MSG_CACHE_GET, digest)
+        if reply is None or reply.kind != net.MSG_CACHE_HIT:
             return None
         return reply.payload
 
     def put(self, digest: str, blob: bytes) -> None:
-        from repro.exec import net
-
-        if self.dead:
-            return
-        try:
-            self._connection().request_pickled(
-                net.MSG_CACHE_PUT, (digest, blob)
-            )
-        except net.BackendUnavailable:
-            self._drop_connection()
-        else:
-            self._faults = 0
+        self._request(net.MSG_CACHE_PUT, (digest, blob))
 
     def close(self) -> None:
-        conn, self._conn = self._conn, None
-        if conn is not None:
-            self.bytes_sent += conn.bytes_sent
-            self.bytes_received += conn.bytes_received
-            conn.close()
+        self._link.drop()
 
 
 class SimulationCache:

@@ -21,20 +21,22 @@ so a parallel run is bit-identical to a serial run of the same job
 list.
 
 Every batch dispatches through exactly one
-:class:`~repro.exec.backend.ExecutionBackend`, chosen in this order:
+:class:`~repro.exec.runtime.ExecutionBackend`, chosen in this order:
 
 1. an explicit ``backend=`` argument (instance or name);
 2. ``REPRO_BACKEND``;
 3. :class:`~repro.exec.backend.SerialBackend` when ``workers <= 1`` or
    the batch is too small to use a pool (one group; an estimate batch
    below ``_MIN_PARALLEL_ESTIMATES``, which also overrides 1 and 2);
-4. otherwise :class:`~repro.exec.backend.PoolBackend` over ``runtime=``
-   when given, else :func:`repro.exec.runtime.default_runtime`.
+4. otherwise the pool: the ``runtime=`` argument when given, else
+   :func:`repro.exec.runtime.default_runtime`. The name ``"pool"`` in
+   1 or 2 means the same runtime.
 
 The pool's worker processes are built once per runtime and the trace
 is exported once per (runtime, trace-fingerprint) to shared memory, so
-a batch moves only the (small) architecture descriptions. The runtime's
-fault-tolerant chunk dispatch is the one pool retry/degrade policy.
+a batch moves only the (small) architecture descriptions. Pool and
+socket shards share one retry/degrade policy
+(:func:`repro.exec.runtime.run_with_recovery`).
 
 Each evaluation runs the columnar fast path by default, in workers and
 in-process alike. It is bit-identical to the scalar reference loop, so
@@ -53,14 +55,14 @@ from repro import obs
 from repro.apex.architectures import MemoryArchitecture
 from repro.connectivity.architecture import ConnectivityArchitecture
 from repro.errors import ExecutionError
-from repro.exec.backend import (
-    ExecutionBackend,
-    PoolBackend,
-    SerialBackend,
-    resolve_backend,
-)
+from repro.exec.backend import SerialBackend, resolve_backend
 from repro.exec.cache import SimulationCache, default_cache, simulation_key
-from repro.exec.runtime import DispatchStats, ExecutionRuntime, resolve_workers
+from repro.exec.runtime import (
+    DispatchStats,
+    ExecutionBackend,
+    ExecutionRuntime,
+    resolve_workers,
+)
 from repro.sim.metrics import SimulationResult
 from repro.sim.sampling import SamplingConfig
 from repro.stats import BatchStats, StatsReport
@@ -117,7 +119,7 @@ class EngineReport(StatsReport):
     candidates ran the shared-column delta pass (as opposed to falling
     back to independent full runs).
 
-    ``backend`` is the :attr:`~repro.exec.backend.ExecutionBackend.name`
+    ``backend`` is the :attr:`~repro.exec.runtime.ExecutionBackend.name`
     of the backend that dispatched the batch (``"serial"``, ``"pool"``,
     ``"remote"``, ``"sharded"``) and ``bytes_sent`` / ``bytes_received``
     count its wire traffic (zero for local backends).
@@ -249,12 +251,12 @@ def _choose_backend(
     ``poolable`` is ``False`` when the batch has too little work to
     split across a pool (a single group is never split).
     """
-    configured = resolve_backend(backend, workers)
+    configured = resolve_backend(backend, workers, runtime)
     if configured is not None:
         return configured
     if workers <= 1 or not poolable:
         return SerialBackend()
-    return PoolBackend(runtime, workers)
+    return resolve_backend("pool", workers, runtime)
 
 
 def _dispatch(active: ExecutionBackend, run: Callable[[], list]) -> tuple:
@@ -306,9 +308,10 @@ def simulate_batch(
             (:func:`repro.exec.cache.default_cache`). Pass
             :data:`repro.exec.cache.NULL_CACHE` to force fresh runs.
         runtime: persistent execution runtime a pool dispatch goes
-            through; ``None`` uses the process-wide default
+            through (also for ``backend="pool"``); ``None`` uses the
+            process-wide default
             (:func:`repro.exec.runtime.default_runtime`).
-        backend: an :class:`~repro.exec.backend.ExecutionBackend`
+        backend: an :class:`~repro.exec.runtime.ExecutionBackend`
             instance or name (``"serial"``/``"pool"``/``"remote"``);
             ``None`` consults ``REPRO_BACKEND``, then picks serial or
             pool from ``workers``.

@@ -20,7 +20,8 @@ fingerprint) and the worker attaches to the received bytes zero-copy.
 
 Every connection tracks the bytes it moved (:attr:`Connection.bytes_sent`
 / :attr:`Connection.bytes_received`); the backends fold those into
-``obs`` counters and :class:`repro.exec.engine.EngineReport`.
+``obs`` counters and :class:`repro.exec.engine.EngineReport`. Clients
+reach a worker through a :class:`Link`, which runs the handshake.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "Frame",
     "Connection",
     "BackendUnavailable",
+    "Link",
     "MSG_HELLO",
     "MSG_OK",
     "MSG_ERROR",
@@ -53,6 +55,7 @@ __all__ = [
     "MSG_PONG",
     "decode_trace",
     "encode_trace",
+    "hello",
     "max_frame_bytes",
     "parse_address",
 ]
@@ -319,3 +322,64 @@ class Connection:
 
     def __exit__(self, *_exc) -> None:
         self.close()
+
+
+def hello() -> dict:
+    """The :data:`MSG_HELLO` payload client and worker must agree on."""
+    # Imported here: repro.exec.cache imports this module.
+    from repro.exec.cache import KERNEL_PLAN_VERSION
+
+    return {
+        "protocol": PROTOCOL_VERSION,
+        "kernel_plan_version": KERNEL_PLAN_VERSION,
+    }
+
+
+class Link:
+    """A client's lazily opened, handshaken connection to one peer.
+
+    A peer whose :func:`hello` differs answers :data:`MSG_ERROR`,
+    raised as :class:`ExecutionError`. After :meth:`drop` the next use
+    reconnects; the byte counts include dropped connections.
+    """
+
+    def __init__(self, address: str) -> None:
+        self.address = address
+        self._conn: Connection | None = None
+        self._dropped_sent = 0
+        self._dropped_received = 0
+
+    @property
+    def connected(self) -> bool:
+        return self._conn is not None
+
+    @property
+    def bytes_sent(self) -> int:
+        conn = self._conn
+        return self._dropped_sent + (conn.bytes_sent if conn else 0)
+
+    @property
+    def bytes_received(self) -> int:
+        conn = self._conn
+        return self._dropped_received + (conn.bytes_received if conn else 0)
+
+    def connection(self, timeout: float | None) -> Connection:
+        if self._conn is None:
+            conn = Connection.connect(self.address, timeout=timeout)
+            try:
+                conn.request_pickled(MSG_HELLO, hello())
+            except BaseException:
+                self._retire(conn)
+                raise
+            self._conn = conn
+        return self._conn
+
+    def drop(self) -> None:
+        conn, self._conn = self._conn, None
+        if conn is not None:
+            self._retire(conn)
+
+    def _retire(self, conn: Connection) -> None:
+        self._dropped_sent += conn.bytes_sent
+        self._dropped_received += conn.bytes_received
+        conn.close()

@@ -1,4 +1,7 @@
-"""Persistent execution runtime: one pool, one trace export, many batches.
+"""The dispatch core: the :class:`ExecutionBackend` interface, the two
+work units every backend runs (:func:`evaluate_groups`,
+:func:`estimate_jobs`), the one recovery loop the pool and the socket
+shards share (:func:`run_with_recovery`), and the persistent runtime.
 
 A fresh ``ProcessPoolExecutor`` per batch, with the trace shipped to
 every worker through the pool initializer, pays megabytes of pickling
@@ -9,8 +12,7 @@ per-batch setup would dominate once the simulations themselves are
 fast.
 
 :class:`ExecutionRuntime` amortizes all of it. It is the only place a
-process pool is built; the engine reaches it through
-:class:`repro.exec.backend.PoolBackend`.
+process pool is built, and it is itself the ``"pool"`` backend:
 
 * the worker pool is created once (lazily, on first parallel dispatch)
   and reused by every subsequent ``simulate_batch`` / ``estimate_many``
@@ -27,25 +29,26 @@ process pool is built; the engine reaches it through
 **Fault tolerance.** A worker death (OOM kill, segfault, SIGKILL)
 breaks a ``ProcessPoolExecutor`` permanently: every in-flight and
 future submission raises ``BrokenProcessPool``. The runtime survives
-this instead of failing the batch. Dispatch is chunked through
-``pool.submit`` with per-chunk bookkeeping, so when a pool breaks (or
-a chunk exceeds the per-job timeout from ``REPRO_JOB_TIMEOUT``) the
-runtime collects every chunk that already finished, rebuilds the pool,
-and re-dispatches only the unfinished job indices — results stay keyed
-by job index, so a recovered batch is bit-identical to an undisturbed
-one. After ``REPRO_MAX_RETRIES`` pool rebuilds (default 2) the batch
-degrades to the serial in-process path rather than erroring. Per-dispatch accounting lands in
-:attr:`ExecutionRuntime.last_dispatch` (a :class:`DispatchStats`) and
-accumulates in :attr:`ExecutionRuntime.stats`; the engine surfaces it
-as ``EngineReport.retries`` / ``pool_rebuilds`` / ``degraded``.
+this instead of failing the batch. Each recovery round chunks the
+pending items through ``pool.submit``; when the pool breaks (or a
+chunk exceeds the per-job timeout from ``REPRO_JOB_TIMEOUT``) the round
+keeps every chunk that already finished and rebuilds the pool, and
+:func:`run_with_recovery` re-dispatches only the unfinished indices —
+results stay keyed by index, so a recovered batch is bit-identical to
+an undisturbed one. After ``REPRO_MAX_RETRIES`` retry rounds (default
+2) the batch degrades to the serial work unit rather than erroring.
+Per-dispatch accounting lands in :attr:`ExecutionRuntime.last_dispatch`
+(a :class:`DispatchStats`) and accumulates in
+:attr:`ExecutionRuntime.stats`; the engine surfaces it as
+``EngineReport.retries`` / ``pool_rebuilds`` / ``degraded``.
 
 Shared-memory hygiene is crash-safe too: exported blocks carry
 PID-tagged names and a sidecar manifest (:mod:`repro.trace.shm`),
 SIGTERM/SIGINT unlink whatever is still registered, and runtime
 construction sweeps blocks leaked by dead processes.
 
-``workers=1`` keeps the serial in-process fallback: no pool, no
-export, bit-identical results — the determinism contract of
+``workers=1`` keeps the serial in-process path: no pool, no export,
+bit-identical results — the determinism contract of
 :mod:`repro.exec.engine` is unchanged because results stay keyed by
 job index and the simulator is deterministic.
 """
@@ -53,6 +56,7 @@ job index and the simulator is deterministic.
 from __future__ import annotations
 
 import atexit
+import functools
 import multiprocessing
 import os
 import signal
@@ -61,7 +65,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro import obs
 from repro.conex.estimator import ConnectivityEstimate, estimate_design
@@ -90,14 +94,18 @@ __all__ = [
     "WORKERS_ENV",
     "DEFAULT_MAX_RETRIES",
     "DispatchStats",
+    "ExecutionBackend",
     "ExecutionRuntime",
     "RuntimeStats",
     "default_runtime",
     "dispatch_chunksize",
     "effective_pool_workers",
+    "estimate_jobs",
+    "evaluate_groups",
     "resolve_job_timeout",
     "resolve_max_retries",
     "resolve_workers",
+    "run_with_recovery",
     "set_default_runtime",
 ]
 
@@ -117,10 +125,9 @@ def effective_pool_workers(workers: int) -> int:
     dispatch accounting, chunk sizing, and the ``workers<=1`` serial
     short-circuit all keep the requested count, so capped and uncapped
     runs stay bit-identical (results are keyed by job index either
-    way). Warns once per process; ``REPRO_WORKERS_CAP=0`` disables the
-    cap for oversubscription experiments.
+    way). Warns once per process.
     """
-    if workers <= 1 or not current_settings().workers_cap:
+    if workers <= 1:
         return workers
     cap = os.cpu_count() or 1
     if workers <= cap:
@@ -132,8 +139,7 @@ def effective_pool_workers(workers: int) -> int:
 
         warnings.warn(
             f"requested {workers} pool workers on a {cap}-CPU host; "
-            f"capping the pool at {cap} processes "
-            f"(set REPRO_WORKERS_CAP=0 to oversubscribe anyway)",
+            f"capping the pool at {cap} processes",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -181,19 +187,18 @@ def dispatch_chunksize(pending: int, workers: int) -> int:
 
 @dataclass
 class DispatchStats(StatsReport):
-    """Fault accounting for one ``map_simulation_groups``/``map_estimates``
-    call.
+    """Fault accounting for one ``run_groups``/``run_estimates`` call.
 
     Attributes:
         jobs: jobs the call was asked to run.
-        retries: recovery rounds that re-dispatched unfinished jobs to
-            a rebuilt pool.
+        retries: recovery rounds that re-dispatched unfinished jobs
+            (to a rebuilt pool, or to the surviving shards).
         pool_rebuilds: worker pools torn down and rebuilt after a fault
             (a broken pool or a chunk timeout).
         timeouts: chunks abandoned because they exceeded the per-job
             timeout budget.
-        degraded: the rebuild budget ran out and the remaining jobs
-            finished on the serial in-process path.
+        degraded: the retry budget ran out (or no shard survived) and
+            the remaining jobs finished on the serial in-process path.
     """
 
     jobs: int = 0
@@ -243,6 +248,118 @@ class RuntimeStats(StatsReport):
         )
 
 
+class ExecutionBackend:
+    """Interface: run ordered work lists, return results in order.
+
+    Subclasses implement the two ``run_*`` methods and keep
+    :attr:`last_dispatch` current. :class:`ExecutionRuntime` is the
+    ``"pool"`` backend; the others live in :mod:`repro.exec.backend`.
+    """
+
+    #: Short name surfaced as ``EngineReport.backend``.
+    name = "base"
+
+    #: Fault accounting for the most recent ``run_*`` call.
+    last_dispatch: DispatchStats | None = None
+
+    #: Wire traffic so far (overridden by socket backends).
+    bytes_sent = 0
+    bytes_received = 0
+
+    def run_groups(
+        self, trace: Trace, groups: "Sequence[Sequence[SimulationJob]]"
+    ) -> list:
+        """Evaluate whole same-signature groups, ordered like ``groups``.
+
+        Returns one ``(results, delta_candidates)`` pair per group —
+        the :func:`repro.sim.batch.evaluate_group` contract. Groups
+        are never split: splitting would forfeit the shared trace
+        plan and module columns.
+        """
+        raise NotImplementedError
+
+    def run_estimates(
+        self, jobs: "Sequence[EstimateJob]"
+    ) -> list[ConnectivityEstimate]:
+        """Run every Phase-I estimate, ordered like ``jobs``."""
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Release pools/sockets. Idempotent; safe on unused backends."""
+
+    def __enter__(self) -> "ExecutionBackend":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__}>"
+
+
+# -- the work units ---------------------------------------------------------
+
+def evaluate_groups(
+    trace: Trace, groups: "Sequence[Sequence[SimulationJob]]"
+) -> "list[tuple[list[SimulationResult], int]]":
+    """Evaluate each same-signature group over ``trace``, in order.
+
+    The one simulation work unit: serial backends, pool chunks, the
+    degraded path and socket workers all run groups through here.
+    """
+    plan = batch.trace_plan(trace)
+    return [batch.evaluate_group(trace, group, plan) for group in groups]
+
+
+def estimate_jobs(jobs: "Sequence[EstimateJob]") -> list[ConnectivityEstimate]:
+    """Run each Phase-I estimate, in order (the one estimate work unit)."""
+    return [
+        estimate_design(job.memory, job.connectivity, job.profile)
+        for job in jobs
+    ]
+
+
+# -- the one recovery loop --------------------------------------------------
+
+def run_with_recovery(
+    items: Sequence,
+    run_round: Callable[[list, DispatchStats], "Iterable | None"],
+    run_serial: Callable[[list], list],
+    max_retries: int,
+    jobs: int,
+) -> tuple[list, DispatchStats]:
+    """The one retry/degrade policy; returns results by index and stats.
+
+    ``run_round(pending, stats)`` runs the pending item indices and
+    returns ``(index, value)`` pairs for those that finished, or
+    ``None`` when nothing can run (no live shard). Unfinished items
+    were lost to a fault (a broken pool, a chunk timeout, a dead
+    shard) and go to the next round; after ``max_retries`` retry
+    rounds, or on ``None``, the rest run through ``run_serial`` and the
+    dispatch is degraded. Errors raised by a round or by ``run_serial``
+    are job errors, not faults: they propagate unchanged.
+    """
+    stats = DispatchStats(jobs=jobs)
+    results: list = [None] * len(items)
+    pending = list(range(len(items)))
+    while pending:
+        finished = None if stats.degraded else run_round(pending, stats)
+        if finished is None:
+            stats.degraded = True
+            finished = zip(pending, run_serial([items[i] for i in pending]))
+        done = set()
+        for index, value in finished:
+            results[index] = value
+            done.add(index)
+        pending = [index for index in pending if index not in done]
+        if pending:
+            if stats.retries < max_retries:
+                stats.retries += 1
+            else:
+                stats.degraded = True
+    return results, stats
+
+
 # -- worker-process side ----------------------------------------------------
 
 #: Traces this worker has attached, keyed by fingerprint. Entries live
@@ -252,21 +369,22 @@ class RuntimeStats(StatsReport):
 _ATTACHED_TRACES: dict[str, Trace] = {}
 
 
-def _attached_trace(handle: SharedTraceHandle) -> Trace:
-    """This worker's view of the shared trace, attached on first use."""
+def _evaluate_shared(
+    handle: SharedTraceHandle, groups: "Sequence[Sequence[SimulationJob]]"
+) -> "list[tuple[list[SimulationResult], int]]":
+    """:func:`evaluate_groups` over the shared trace, attached on first use."""
     trace = _ATTACHED_TRACES.get(handle.fingerprint)
     if trace is None:
         trace = Trace.attach_shared(handle)
         _ATTACHED_TRACES[handle.fingerprint] = trace
-    return trace
+    return evaluate_groups(trace, groups)
 
 
 def _maybe_inject_fault(spec: str) -> None:
     """Honour the ``REPRO_FAULT_INJECT`` chaos hook (tests/CI only).
 
-    ``spec`` is ``Settings.fault_inject``, looked up once per chunk by
-    the callers (estimates are microseconds each — a per-item settings
-    read would dominate them).
+    ``spec`` is ``Settings.fault_inject``, checked once at the start of
+    each chunk, which is where every mode takes its fault.
     """
     mode, _, path = spec.partition(":")
     if mode == "always":
@@ -290,7 +408,7 @@ def _chunk_observation(collect: bool) -> ObsSnapshot | None:
     worker turns its own recording on (it may have been spawned before
     the parent enabled obs, so the import-time ``REPRO_OBS`` check is
     not enough) and returns the baseline snapshot the post-chunk delta
-    is computed against.
+    (:func:`_chunk_delta`) is computed against.
     """
     if not collect:
         return None
@@ -300,46 +418,20 @@ def _chunk_observation(collect: bool) -> ObsSnapshot | None:
     return obs.snapshot()
 
 
-def _run_shared_group(
-    item: "tuple[SharedTraceHandle, tuple[SimulationJob, ...]]",
-) -> "tuple[list[SimulationResult], int]":
-    handle, jobs = item
-    trace = _attached_trace(handle)
-    return batch.evaluate_group(trace, jobs)
+def _chunk_delta(baseline: ObsSnapshot | None) -> ObsSnapshot | None:
+    """What this worker recorded since :func:`_chunk_observation`."""
+    return obs.snapshot().subtract(baseline) if baseline is not None else None
 
 
-def _run_group_chunk(
-    items: "Sequence[tuple[SharedTraceHandle, tuple[SimulationJob, ...]]]",
-    collect: bool = False,
-) -> "tuple[list[tuple[list[SimulationResult], int]], ObsSnapshot | None]":
+def _run_chunk(
+    unit: Callable[[list], list], items: list, collect: bool
+) -> "tuple[list, ObsSnapshot | None]":
+    """One pool chunk: the work unit over ``items``, plus its obs delta."""
     fault_spec = current_settings().fault_inject
+    if fault_spec:
+        _maybe_inject_fault(fault_spec)
     baseline = _chunk_observation(collect)
-    results = []
-    for item in items:
-        if fault_spec:
-            _maybe_inject_fault(fault_spec)
-        results.append(_run_shared_group(item))
-    delta = obs.snapshot().subtract(baseline) if collect else None
-    return results, delta
-
-
-def _run_pool_estimate(job: "EstimateJob") -> ConnectivityEstimate:
-    return estimate_design(job.memory, job.connectivity, job.profile)
-
-
-def _run_estimate_chunk(
-    jobs: "Sequence[EstimateJob]",
-    collect: bool = False,
-) -> "tuple[list[ConnectivityEstimate], ObsSnapshot | None]":
-    fault_spec = current_settings().fault_inject
-    baseline = _chunk_observation(collect)
-    results = []
-    for job in jobs:
-        if fault_spec:
-            _maybe_inject_fault(fault_spec)
-        results.append(_run_pool_estimate(job))
-    delta = obs.snapshot().subtract(baseline) if collect else None
-    return results, delta
+    return unit(items), _chunk_delta(baseline)  # the unit runs first
 
 
 # -- the runtime ------------------------------------------------------------
@@ -359,14 +451,17 @@ def _startup_sweep() -> None:
         pass
 
 
-class ExecutionRuntime:
-    """A long-lived worker pool plus its shared trace exports.
+class ExecutionRuntime(ExecutionBackend):
+    """A long-lived worker pool plus its shared trace exports: the
+    ``"pool"`` backend.
 
     Construct one per exploration session (the CLI does this per
     command) or rely on :func:`default_runtime`. Thread it through
     ``simulate_batch(..., runtime=...)`` / driver ``runtime=``
-    parameters; every batch then reuses the same pool and the same
-    shared trace blocks.
+    parameters (or pass it as ``backend=``); every batch then reuses
+    the same pool and the same shared trace blocks. The runtime is
+    owned by whoever built it: nothing that merely dispatches through
+    it closes it.
 
     Dispatch is fault tolerant: worker deaths and job timeouts rebuild
     the pool and re-dispatch only the unfinished jobs (see the module
@@ -382,10 +477,12 @@ class ExecutionRuntime:
             object; ``None`` uses the platform default.
         job_timeout: per-job seconds before a chunk counts as stuck;
             ``None`` consults ``REPRO_JOB_TIMEOUT`` (unset: no timeout).
-        max_retries: pool rebuilds per batch before degrading to the
+        max_retries: retry rounds per batch before degrading to the
             serial path; ``None`` consults ``REPRO_MAX_RETRIES``
             (default :data:`DEFAULT_MAX_RETRIES`).
     """
+
+    name = "pool"
 
     def __init__(
         self,
@@ -478,115 +575,51 @@ class ExecutionRuntime:
             obs.incr("runtime.shm_exports")
         return export.handle
 
-    # -- fault-tolerant dispatch core ----------------------------------
+    # -- the pool backend ----------------------------------------------
+
+    def run_groups(self, trace, groups):
+        groups = [tuple(group) for group in groups]
+        jobs = sum(len(group) for group in groups)
+        local = functools.partial(evaluate_groups, trace)
+        if self._runs_inline(groups, jobs):
+            return local(groups)
+        shared = functools.partial(_evaluate_shared, self.share_trace(trace))
+        return self._dispatch(shared, local, groups, jobs)
+
+    def run_estimates(self, jobs):
+        jobs = list(jobs)
+        if self._runs_inline(jobs, len(jobs)):
+            return estimate_jobs(jobs)
+        return self._dispatch(estimate_jobs, estimate_jobs, jobs, len(jobs))
+
+    def _runs_inline(self, items: list, jobs: int) -> bool:
+        """Does this batch skip the pool (empty, or one worker)?"""
+        self._ensure_open()
+        if items and self.workers > 1:
+            return False
+        self.last_dispatch = DispatchStats(jobs=jobs)
+        return True
 
     def _dispatch(
         self,
-        worker_fn: Callable,
-        items: Sequence,
-        inline_fn: Callable,
+        unit: Callable[[list], list],
+        local: Callable[[list], list],
+        items: list,
+        jobs: int,
     ) -> list:
-        """Fault-tolerant dispatch, timed under the ``exec.dispatch`` span."""
-        with obs.span("exec.dispatch"):
-            return self._dispatch_chunks(worker_fn, items, inline_fn)
-
-    def _dispatch_chunks(
-        self,
-        worker_fn: Callable,
-        items: Sequence,
-        inline_fn: Callable,
-    ) -> list:
-        """Run ``worker_fn`` over chunks of ``items`` with recovery.
-
-        Chunk-level bookkeeping keeps results keyed by item index, so a
-        recovered dispatch returns exactly what an undisturbed one
-        would. Faults (``BrokenProcessPool``, chunk timeouts) rebuild
-        the pool and re-dispatch the unfinished indices; once
-        ``max_retries`` rebuilds are spent, the remainder runs through
-        ``inline_fn`` serially in-process. Job-raised exceptions are
-        not faults — they propagate to the caller unchanged.
-        """
-        stats = DispatchStats(jobs=len(items))
-        results: list = [None] * len(items)
-        finished = [False] * len(items)
-        pending = list(range(len(items)))
+        """Run ``unit`` over ``items`` in the pool (``local`` is the
+        degraded path), timed under the ``exec.dispatch`` span."""
         collect = obs.enabled()
-
-        def harvest(payload: tuple) -> list:
-            # Chunk runners return (values, obs delta); fold the
-            # worker-side spans/counters into the parent registry so
-            # the export sees one merged view.
-            values, delta = payload
-            obs.merge_snapshot(delta)
-            return values
-
-        while pending:
-            if stats.degraded:
-                for index in pending:
-                    results[index] = inline_fn(items[index])
-                    finished[index] = True
-                break
-            size = dispatch_chunksize(len(pending), self.workers)
-            chunks = [
-                pending[i : i + size] for i in range(0, len(pending), size)
-            ]
-            futures: list[tuple] = []
-            fault = False
-            try:
-                pool = self._ensure_pool()
-                for chunk in chunks:
-                    futures.append(
-                        (
-                            pool.submit(
-                                worker_fn,
-                                [items[i] for i in chunk],
-                                collect,
-                            ),
-                            chunk,
-                        )
-                    )
-            except BrokenProcessPool:
-                fault = True
-            if not fault:
-                for future, chunk in futures:
-                    budget = (
-                        None
-                        if self.job_timeout is None
-                        else self.job_timeout * len(chunk)
-                    )
-                    try:
-                        values = harvest(future.result(timeout=budget))
-                    except BrokenProcessPool:
-                        fault = True
-                        break
-                    except FuturesTimeoutError:
-                        stats.timeouts += 1
-                        fault = True
-                        break
-                    for index, value in zip(chunk, values):
-                        results[index] = value
-                        finished[index] = True
-            if fault:
-                # Keep every chunk that did finish before the fault.
-                for future, chunk in futures:
-                    if finished[chunk[0]]:
-                        continue
-                    if (
-                        future.done()
-                        and not future.cancelled()
-                        and future.exception() is None
-                    ):
-                        values = harvest(future.result())
-                        for index, value in zip(chunk, values):
-                            results[index] = value
-                            finished[index] = True
-                self._discard_pool(kill=True)
-                stats.pool_rebuilds += 1
-                if stats.pool_rebuilds > self.max_retries:
-                    stats.degraded = True
-                else:
-                    stats.retries += 1
-            pending = [i for i in pending if not finished[i]]
+        with obs.span("exec.dispatch"):
+            results, stats = run_with_recovery(
+                items,
+                lambda pending, stats: self._pool_round(
+                    unit, items, pending, stats, collect
+                ),
+                local,
+                self.max_retries,
+                jobs,
+            )
         self.last_dispatch = stats
         self.stats.absorb(stats)
         if collect:
@@ -599,62 +632,54 @@ class ExecutionRuntime:
             obs.incr("runtime.timeouts", stats.timeouts)
         return results
 
-    # -- batch entry points --------------------------------------------
-
-    def map_simulation_groups(
+    def _pool_round(
         self,
-        trace: Trace,
-        groups: "Sequence[Sequence[SimulationJob]]",
-    ) -> "list[tuple[list[SimulationResult], int]]":
-        """Run every same-signature candidate group over ``trace``.
-
-        Each group is one :func:`repro.sim.batch.evaluate_group` unit of
-        work — the granularity at which trace plans and module columns
-        are shared — and is never split across workers. Returns one
-        ``(results, delta_candidates)`` pair per group, ordered like
-        ``groups``, inner result lists ordered like each group's jobs.
-        """
-        self._ensure_open()
-        if not groups:
-            self.last_dispatch = DispatchStats()
-            return []
-        total = sum(len(group) for group in groups)
-        if self.workers <= 1:
-            self.last_dispatch = DispatchStats(jobs=total)
-            plan = batch.trace_plan(trace)
-            return [
-                batch.evaluate_group(trace, group, plan)
-                for group in groups
-            ]
-        handle = self.share_trace(trace)
-
-        def inline(
-            item: "tuple[SharedTraceHandle, tuple[SimulationJob, ...]]",
-        ) -> "tuple[list[SimulationResult], int]":
-            _, jobs = item
-            return batch.evaluate_group(trace, jobs)
-
-        return self._dispatch(
-            _run_group_chunk,
-            [(handle, tuple(group)) for group in groups],
-            inline,
-        )
-
-    def map_estimates(
-        self, jobs: "Sequence[EstimateJob]"
-    ) -> list[ConnectivityEstimate]:
-        """Run every Phase-I estimate; results ordered like ``jobs``."""
-        self._ensure_open()
-        if not jobs:
-            self.last_dispatch = DispatchStats()
-            return []
-        if self.workers <= 1:
-            self.last_dispatch = DispatchStats(jobs=len(jobs))
-            return [
-                estimate_design(job.memory, job.connectivity, job.profile)
-                for job in jobs
-            ]
-        return self._dispatch(_run_estimate_chunk, list(jobs), _run_pool_estimate)
+        unit: Callable[[list], list],
+        items: list,
+        pending: list,
+        stats: DispatchStats,
+        collect: bool,
+    ) -> list:
+        """Chunk, submit, wait ``job_timeout`` per item, keep what
+        finished; on a fault (a broken pool, a chunk timeout) keep the
+        chunks already done and rebuild the pool."""
+        size = dispatch_chunksize(len(pending), self.workers)
+        chunks = [pending[i : i + size] for i in range(0, len(pending), size)]
+        submitted = []
+        fault = False
+        try:
+            pool = self._ensure_pool()
+            for chunk in chunks:
+                future = pool.submit(
+                    _run_chunk, unit, [items[i] for i in chunk], collect
+                )
+                submitted.append((chunk, future))
+        except BrokenProcessPool:
+            fault = True
+        finished = []
+        for chunk, future in submitted:
+            if fault and not (
+                future.done()
+                and not future.cancelled()
+                and future.exception() is None
+            ):
+                continue
+            timeout = self.job_timeout and self.job_timeout * len(chunk)
+            try:
+                values, delta = future.result(timeout=timeout)
+            except BrokenProcessPool:
+                fault = True
+                continue
+            except FuturesTimeoutError:
+                stats.timeouts += 1
+                fault = True
+                continue
+            obs.merge_snapshot(delta)  # worker-side spans and counters
+            finished.extend(zip(chunk, values))
+        if fault:
+            self._discard_pool(kill=True)
+            stats.pool_rebuilds += 1
+        return finished
 
     def close(self) -> None:
         """Shut the pool down and unlink the shared exports. Idempotent."""
@@ -670,12 +695,6 @@ class ExecutionRuntime:
         exports, self._exports = self._exports, {}
         for export in exports.values():
             export.close()
-
-    def __enter__(self) -> "ExecutionRuntime":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else (

@@ -18,6 +18,9 @@ State held per worker process:
 * **trace plans** come from the process-wide plan registry
   (:func:`repro.sim.batch.trace_plan`), so repeated group batches over
   one trace share the plan exactly like a local runtime worker does.
+  Jobs run through the same work units as every other backend
+  (:func:`repro.exec.runtime.evaluate_groups` /
+  :func:`~repro.exec.runtime.estimate_jobs`).
 * **cache blobs**, keyed by content digest. The worker doubles as the
   networked layer of :class:`repro.exec.cache.SimulationCache`:
   ``CACHE_GET``/``CACHE_PUT`` move opaque payload bytes (the client
@@ -35,9 +38,10 @@ pressure gets a recognizable job error and re-pushes
 (:meth:`repro.exec.backend.RemoteBackend` does this automatically).
 
 The handshake (:data:`~repro.exec.net.MSG_HELLO`) rejects clients
-whose protocol or ``KERNEL_PLAN_VERSION`` differs: a version-skewed
-worker must fail loudly at connect time, not return results computed
-by different kernel code.
+whose :func:`~repro.exec.net.hello` payload (protocol and
+``KERNEL_PLAN_VERSION``) differs: a version-skewed worker must fail
+loudly at connect time, not return results computed by different
+kernel code.
 
 Lifecycle: :meth:`WorkerServer.stop` closes the listener and reaps
 connection threads; pass ``drain_timeout`` to wait for in-flight
@@ -49,19 +53,25 @@ the graceful-drain path the exploration service daemon
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import pathlib
 import socket
 import threading
 import time
 from collections import OrderedDict
+from typing import Callable
 
 from repro import obs
 from repro.config import current_settings
 from repro.exec import net
-from repro.exec.cache import KERNEL_PLAN_VERSION, _SUFFIX
-from repro.exec.runtime import _chunk_observation
-from repro.sim import batch as sim_batch
+from repro.exec.cache import _SUFFIX
+from repro.exec.runtime import (
+    _chunk_delta,
+    _chunk_observation,
+    estimate_jobs,
+    evaluate_groups,
+)
 from repro.trace.events import Trace
 
 __all__ = ["ByteLRU", "DEFAULT_STORE_MB", "WorkerServer", "serve"]
@@ -311,9 +321,16 @@ class WorkerServer:
             obs.incr("worker.trace_pushes")
             return net.MSG_OK, b""
         if kind == net.MSG_SIM_GROUPS:
-            return self._handle_groups(frame.unpickle())
+            request = frame.unpickle()
+            trace = self._trace(request["fingerprint"])
+            groups = request["groups"]
+            unit = functools.partial(evaluate_groups, trace)
+            jobs = sum(map(len, groups))
+            return self._handle_jobs(request, unit, groups, jobs)
         if kind == net.MSG_ESTIMATES:
-            return self._handle_estimates(frame.unpickle())
+            request = frame.unpickle()
+            jobs = request["jobs"]
+            return self._handle_jobs(request, estimate_jobs, jobs, len(jobs))
         if kind == net.MSG_CACHE_GET:
             return self._handle_cache_get(frame.unpickle())
         if kind == net.MSG_CACHE_PUT:
@@ -325,26 +342,11 @@ class WorkerServer:
         raise ValueError(f"unknown message kind {kind}")
 
     def _handle_hello(self, frame: net.Frame) -> tuple[int, bytes]:
-        hello = frame.unpickle()
-        protocol = hello.get("protocol")
-        kernel = hello.get("kernel_plan_version")
-        if protocol != net.PROTOCOL_VERSION or kernel != KERNEL_PLAN_VERSION:
-            return net.MSG_ERROR, _pickled(
-                {
-                    "error": (
-                        f"version skew: worker speaks protocol "
-                        f"{net.PROTOCOL_VERSION} / kernel "
-                        f"{KERNEL_PLAN_VERSION}, client sent "
-                        f"{protocol} / {kernel}"
-                    )
-                }
-            )
-        return net.MSG_OK, _pickled(
-            {
-                "protocol": net.PROTOCOL_VERSION,
-                "kernel_plan_version": KERNEL_PLAN_VERSION,
-            }
-        )
+        hello, expected = frame.unpickle(), net.hello()
+        if hello != expected:
+            error = f"version skew: worker has {expected}, client sent {hello}"
+            return net.MSG_ERROR, _pickled({"error": error})
+        return net.MSG_OK, _pickled(expected)
 
     def _trace(self, fingerprint: str) -> Trace:
         trace = self._traces.get(fingerprint)
@@ -360,30 +362,15 @@ class WorkerServer:
 
     # -- job execution -------------------------------------------------
 
-    def _handle_groups(self, request: dict) -> tuple[int, bytes]:
-        trace = self._trace(request["fingerprint"])
+    def _handle_jobs(
+        self, request: dict, unit: Callable[[list], list], items, jobs: int
+    ) -> tuple[int, bytes]:
+        """Run one work unit; reply with its values and obs delta."""
         baseline = _chunk_observation(request.get("collect", False))
-        plan = sim_batch.trace_plan(trace)
-        values = [
-            sim_batch.evaluate_group(trace, group, plan)
-            for group in request["groups"]
-        ]
-        obs.incr("worker.jobs", sum(len(g) for g in request["groups"]))
+        values = unit(items)
+        obs.incr("worker.jobs", jobs)
         return net.MSG_RESULT, _pickled(
-            {"values": values, "obs": _obs_delta(baseline)}
-        )
-
-    def _handle_estimates(self, request: dict) -> tuple[int, bytes]:
-        from repro.conex.estimator import estimate_design
-
-        baseline = _chunk_observation(request.get("collect", False))
-        values = [
-            estimate_design(job.memory, job.connectivity, job.profile)
-            for job in request["jobs"]
-        ]
-        obs.incr("worker.jobs", len(values))
-        return net.MSG_RESULT, _pickled(
-            {"values": values, "obs": _obs_delta(baseline)}
+            {"values": values, "obs": _chunk_delta(baseline)}
         )
 
     # -- cache serving -------------------------------------------------
@@ -422,10 +409,6 @@ def _pickled(value) -> bytes:
     import pickle
 
     return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _obs_delta(baseline):
-    return obs.snapshot().subtract(baseline) if baseline is not None else None
 
 
 def serve(

@@ -134,15 +134,16 @@ def execute_job(
         store.transition(job, jobstates.RUNNING)
         cache = caches.get(spec.tenant)
         backend_spec = spec.backend if spec.backend is not None else default_backend
-        backend = resolve_backend(backend_spec, spec.workers)
+        backend = resolve_backend(backend_spec, spec.workers, runtime)
         try:
             result = _run_spec(job, store, cache, runtime, backend)
         finally:
-            # Close only backends this job instantiated from a string
-            # spec; an injected instance belongs to the caller.
+            # Close only backends this job built from a name: an
+            # injected instance belongs to the caller, and "pool" is
+            # the runner's runtime (or the process-wide default).
             if backend is not None and not isinstance(
                 backend_spec, ExecutionBackend
-            ):
+            ) and not isinstance(backend, ExecutionRuntime):
                 backend.close()
         _checkpoint(job)
         job.result = result

@@ -11,13 +11,12 @@ import os
 import pytest
 
 from repro.apex.architectures import MemoryArchitecture
-from repro.config import BACKEND_ENV, WORKER_ADDRS_ENV, WORKERS_CAP_ENV
+from repro.config import BACKEND_ENV, WORKER_ADDRS_ENV
 from repro.errors import ExecutionError
 from repro.exec import (
     EstimateJob,
     ExecutionRuntime,
     NullCache,
-    PoolBackend,
     SerialBackend,
     ShardedBackend,
     SimulationJob,
@@ -123,7 +122,7 @@ class TestBackendEquivalence:
                 tiny_trace,
                 jobs,
                 cache=NullCache(),
-                backend=PoolBackend(runtime=runtime),
+                backend=runtime,
             )
         assert report.results == reference.results
         assert report.backend == "pool"
@@ -217,7 +216,7 @@ class TestResolveBackend:
 
     def test_names_resolve(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        assert isinstance(resolve_backend("pool", workers=1), PoolBackend)
+        assert isinstance(resolve_backend("pool", workers=1), ExecutionRuntime)
 
     def test_instance_passes_through(self):
         backend = SerialBackend()
@@ -254,15 +253,13 @@ class TestResolveBackend:
 
 
 class TestWorkerCap:
-    def test_cap_applies_above_cpu_count(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_CAP_ENV, raising=False)
+    def test_cap_applies_above_cpu_count(self):
         cap = os.cpu_count() or 1
         _CAP_WARNED.discard(os.getpid())
         with pytest.warns(RuntimeWarning, match="capping the pool"):
             assert effective_pool_workers(cap + 3) == cap
 
-    def test_warning_fires_once_per_process(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_CAP_ENV, raising=False)
+    def test_warning_fires_once_per_process(self):
         cap = os.cpu_count() or 1
         _CAP_WARNED.discard(os.getpid())
         with pytest.warns(RuntimeWarning):
@@ -273,20 +270,13 @@ class TestWorkerCap:
             warnings.simplefilter("error")
             assert effective_pool_workers(cap + 3) == cap  # silent now
 
-    def test_within_cap_untouched(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_CAP_ENV, raising=False)
+    def test_within_cap_untouched(self):
         assert effective_pool_workers(1) == 1
 
-    def test_opt_out(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_CAP_ENV, "0")
-        cap = os.cpu_count() or 1
-        assert effective_pool_workers(cap + 3) == cap + 3
-
     def test_dispatch_semantics_keep_requested_workers(
-        self, monkeypatch, tiny_trace, mem_library
+        self, tiny_trace, mem_library
     ):
         """The cap sizes the pool, not the report's worker accounting."""
-        monkeypatch.delenv(WORKERS_CAP_ENV, raising=False)
         report = simulate_batch(
             tiny_trace, _jobs(mem_library), workers=4, cache=NullCache()
         )

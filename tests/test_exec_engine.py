@@ -183,6 +183,24 @@ class TestBackendSelection:
         assert idle_default.stats.batches == 0
         assert idle_default._pool is None
 
+    def test_pool_name_dispatches_through_the_given_runtime(
+        self, tiny_trace, mem_library, idle_default
+    ):
+        """``backend="pool"`` is the caller's runtime, as ``repro explore
+        --jobs 2 --backend pool`` passes it: the default stays idle and
+        is not replaced (the fixture checks that on teardown)."""
+        jobs = _jobs(mem_library)
+        with ExecutionRuntime(workers=2) as runtime:
+            report = simulate_batch(
+                tiny_trace, jobs, workers=2, cache=NullCache(),
+                runtime=runtime, backend="pool",
+            )
+            assert runtime.stats.batches == 1
+            assert not runtime.closed
+        assert report.backend == "pool"
+        assert idle_default.stats.batches == 0
+        assert idle_default._pool is None
+
     def test_one_worker_runs_serially(self, tiny_trace, mem_library):
         with ExecutionRuntime(workers=1) as runtime:
             report = simulate_batch(

@@ -158,7 +158,7 @@ class TestCrashRecovery:
         ]
         monkeypatch.setenv(FAULT_INJECT_ENV, f"once:{tmp_path / 'e.marker'}")
         with ExecutionRuntime(workers=2) as runtime:
-            results = runtime.map_estimates(jobs)
+            results = runtime.run_estimates(jobs)
             assert runtime.last_dispatch.pool_rebuilds >= 1
         assert results == expected
 
@@ -257,15 +257,15 @@ class TestDefaultRuntimeHealth:
         assert default_runtime(2) is runtime
 
     def test_runtime_self_heals_between_batches(self, tiny_trace, mem_library):
-        """map_simulation_groups on a runtime whose pool died while idle
+        """run_groups on a runtime whose pool died while idle
         silently rebuilds instead of raising."""
         jobs = _jobs(mem_library)
         serial = simulate_batch(tiny_trace, jobs, workers=1, cache=NullCache())
         with ExecutionRuntime(workers=2) as runtime:
-            first = runtime.map_simulation_groups(tiny_trace, _groups(jobs))
+            first = runtime.run_groups(tiny_trace, _groups(jobs))
             for process in runtime._pool._processes.values():
                 process.kill()
-            second = runtime.map_simulation_groups(tiny_trace, _groups(jobs))
+            second = runtime.run_groups(tiny_trace, _groups(jobs))
         assert first == second
         assert [group[0] for group, _ in first] == list(serial.results)
 
@@ -305,7 +305,7 @@ class TestShmHygiene:
     def test_runtime_close_leaves_no_blocks(self, tiny_trace, mem_library):
         preexisting = set(_stale_shm_blocks())
         with ExecutionRuntime(workers=2) as runtime:
-            runtime.map_simulation_groups(
+            runtime.run_groups(
                 tiny_trace, _groups(_jobs(mem_library))
             )
         assert set(_stale_shm_blocks()) <= preexisting

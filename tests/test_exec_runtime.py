@@ -96,7 +96,7 @@ class TestSharedTraceTransport:
 class TestRuntimeLifecycle:
     def test_serial_runtime_stays_inert(self, tiny_trace, mem_library):
         with ExecutionRuntime(workers=1) as runtime:
-            results = runtime.map_simulation_groups(
+            results = runtime.run_groups(
                 tiny_trace, _groups(_jobs(mem_library))
             )
             assert len(results) == len(_PRESETS)
@@ -108,7 +108,7 @@ class TestRuntimeLifecycle:
         runtime.close()
         assert runtime.closed
         with pytest.raises(ExplorationError):
-            runtime.map_simulation_groups(
+            runtime.run_groups(
                 tiny_trace, _groups(_jobs(mem_library))
             )
         with pytest.raises(ExplorationError):
@@ -130,10 +130,10 @@ class TestRuntimeLifecycle:
     def test_pool_survives_across_batches(self, tiny_trace, mem_library):
         jobs = _jobs(mem_library)
         with ExecutionRuntime(workers=2) as runtime:
-            runtime.map_simulation_groups(tiny_trace, _groups(jobs[:2]))
+            runtime.run_groups(tiny_trace, _groups(jobs[:2]))
             pool = runtime._pool
             assert pool is not None
-            runtime.map_simulation_groups(tiny_trace, _groups(jobs[2:]))
+            runtime.run_groups(tiny_trace, _groups(jobs[2:]))
             assert runtime._pool is pool
 
 
@@ -178,7 +178,7 @@ class TestRuntimeDispatchEquivalence:
             for c in connectivities
         ]
         with ExecutionRuntime(workers=2) as runtime:
-            results = runtime.map_estimates(jobs)
+            results = runtime.run_estimates(jobs)
         for connectivity, estimate in zip(connectivities, results):
             assert estimate == estimate_design(arch, connectivity, profile)
 

@@ -4,9 +4,10 @@ Every simulation cache key carries
 :data:`repro.exec.cache.KERNEL_PLAN_VERSION`, which is bumped by hand.
 This test re-hashes the simulation-relevant source and compares it with
 :data:`~repro.exec.cache.KERNEL_SOURCE_DIGEST`, pinned next to the
-version: a change to the simulator, the modules, the timing models or
-the connectivity components fails here until the version is bumped (so
-old cache entries are orphaned) and the digest re-pinned.
+version: a change to the simulator, the modules, the timing models,
+the connectivity components, the memory-architecture wiring or the
+trace columns fails here until the version is bumped (so old cache
+entries are orphaned) and the digest re-pinned.
 
 The digest covers the syntax trees, not the text: comments, formatting
 and docstrings do not count, so documentation edits need no bump.
@@ -24,7 +25,15 @@ from repro.exec.cache import KERNEL_PLAN_VERSION, KERNEL_SOURCE_DIGEST
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: What simulation results depend on, relative to :data:`PACKAGE`.
-SIMULATION_SOURCE = ("sim", "memory", "timing", "connectivity", "channels.py")
+SIMULATION_SOURCE = (
+    "sim",
+    "memory",
+    "timing",
+    "connectivity",
+    "trace",
+    "apex/architectures.py",
+    "channels.py",
+)
 
 _DOCSTRING_OWNERS = (
     ast.Module,
@@ -95,8 +104,13 @@ def test_simulation_source_matches_the_pinned_version():
 
 
 def test_digest_ignores_docstrings_and_comments(tmp_path):
-    for entry in SIMULATION_SOURCE[:-1]:
-        (tmp_path / entry).mkdir()
+    for entry in SIMULATION_SOURCE:
+        path = tmp_path / entry
+        if path.suffix == ".py":
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("")
+        else:
+            path.mkdir()
     module = tmp_path / "channels.py"
     module.write_text('"""Doc."""\n\ndef f(x):\n    """Doc."""\n    return x\n')
     pinned = simulation_source_digest(tmp_path)
